@@ -47,7 +47,12 @@
 //! chaos/retry machinery on the cache-hot loopback round-trip:
 //! armed-but-idle fail points vs. disarmed, and the retry-wrapped
 //! client vs. the plain call — both held to ≤5% by in-binary gates,
-//! with `resil_retry_roundtrip_w1_ns` gated against the baseline.
+//! with `resil_retry_roundtrip_w1_ns` gated against the baseline. The
+//! torus JVV section also reports `oracle_memo_hit_rate`, the share of
+//! oracle memo lookups answered from the engine's memo, held to a floor
+//! by an in-binary gate; the width-1 exact-JVV reference of the
+//! backends gate times a freshly built engine per rep, so it keeps
+//! paying for its oracle queries.
 //!
 //! The JSON is hand-rolled (the container vendors no serde); the
 //! baseline reader scans for `"key": number` pairs regardless of
@@ -97,6 +102,33 @@ fn measure<F: FnMut()>(samples: usize, per_sample_ops: usize, mut body: F) -> f6
         xs.push(start.elapsed().as_nanos() as f64 / per_sample_ops as f64);
     }
     lower_quartile(xs)
+}
+
+/// The oracle memo's process-wide counters at one instant.
+#[derive(Clone, Copy)]
+struct MemoCounts {
+    hits: u64,
+    /// Queries that reached the memo and were computed (one
+    /// `oracle_stop_depth` observation each).
+    computed: u64,
+}
+
+fn memo_counts() -> MemoCounts {
+    let snap = lds_obs::global().snapshot();
+    MemoCounts {
+        hits: snap.counter("oracle_memo_hits").unwrap_or(0),
+        computed: snap.histogram("oracle_stop_depth").map_or(0, |h| h.count),
+    }
+}
+
+impl MemoCounts {
+    /// Hits over memo lookups since `before` (queries the early depths
+    /// decide never look the memo up).
+    fn hit_rate_since(self, before: MemoCounts) -> f64 {
+        let hits = self.hits - before.hits;
+        let lookups = hits + (self.computed - before.computed);
+        hits as f64 / lookups.max(1) as f64
+    }
 }
 
 fn small_item(x: &u64) -> u64 {
@@ -178,7 +210,9 @@ fn render_json(sha: &str, quick: bool, sections: &[(&str, &[(String, f64)])]) ->
         s.push_str(&format!("  \"{name}\": {{\n"));
         for (i, (k, v)) in metrics.iter().enumerate() {
             let comma = if i + 1 == metrics.len() { "" } else { "," };
-            s.push_str(&format!("    \"{k}\": {v:.1}{comma}\n"));
+            // shares and rates below 1 keep three decimals
+            let digits = if v.abs() < 1.0 { 3 } else { 1 };
+            s.push_str(&format!("    \"{k}\": {v:.digits$}{comma}\n"));
         }
         s.push_str(&format!("  }}{section_comma}\n"));
     }
@@ -249,9 +283,12 @@ fn main() {
     let mut ground = Vec::new();
     let mut sample = Vec::new();
     let mut reject = Vec::new();
+    let memo_before = memo_counts();
     // per-seed work differs (rejection restarts are Las Vegas), so the
     // seed set is part of each metric's identity — keep it fixed and
-    // summarize with the median over seeds
+    // summarize with the median over seeds. The engine's oracle memo
+    // starts cold at seed 0 and is shared by every later seed, so the
+    // per-pass medians price the warm engine that serving runs.
     for rep in 0..samples.min(11) as u64 {
         let report = engine.run_with_seed(Task::SampleExact, rep).unwrap();
         for phase in &report.phases {
@@ -267,6 +304,8 @@ fn main() {
     metrics.push(("jvv_pass1_ground_ns".to_string(), median(ground)));
     metrics.push(("jvv_pass2_sample_ns".to_string(), median(sample)));
     metrics.push(("jvv_pass3_reject_ns".to_string(), median(reject)));
+    let memo_hit_rate = memo_counts().hit_rate_since(memo_before);
+    metrics.push(("oracle_memo_hit_rate".to_string(), memo_hit_rate));
 
     // --- serving section: coalesced dispatch vs one-at-a-time
     // dispatch, per engine pool width (cache disabled — this measures
@@ -630,9 +669,18 @@ fn main() {
         backends.push((format!("glauber_sample_w{width}_ns"), glauber_ns));
         if width == 1 {
             glauber_w1 = glauber_ns;
-            let jvv_ns = measure(samples.max(21), seeds.len(), || {
-                std::hint::black_box(exact.run_batch(Task::SampleExact, &seeds).unwrap());
-            });
+            // the reference is the oracle-paying exact path: a rep on a
+            // warm engine would answer these seeds' queries from the
+            // oracle memo, so every rep times a freshly built engine
+            // (the build itself stays outside the timed window)
+            let mut jvv_reps = Vec::with_capacity(samples.max(21));
+            for _ in 0..samples.max(21) {
+                let cold = build(Backend::Exact);
+                let start = Instant::now();
+                std::hint::black_box(cold.run_batch(Task::SampleExact, &seeds).unwrap());
+                jvv_reps.push(start.elapsed().as_nanos() as f64 / seeds.len() as f64);
+            }
+            let jvv_ns = lower_quartile(jvv_reps);
             jvv_w1 = jvv_ns;
             backends.push(("jvv_exact_sample_w1_ns".to_string(), jvv_ns));
             let sweeps = glauber
@@ -981,6 +1029,27 @@ fn main() {
         println!(
             "backends gate: glauber {glauber_w1:.0} ns vs exact JVV {jvv_w1:.0} ns per sample ({:.1}x) — ok",
             jvv_w1 / glauber_w1
+        );
+    }
+
+    // Memo gate: on the torus JVV section (one width-1 engine, fixed
+    // seeds, so the rate is a deterministic function of the code and
+    // transfers across hosts) the oracle memo must answer at least
+    // MEMO_HIT_FLOOR of its lookups. Measured: 0.554 over the 9 seeds
+    // of --quick, 0.534 over the 11 of a full run. A memo scoped to one
+    // run would answer only within-run repeats: 0.402 and 0.401 on the
+    // same seeds (measured with a fresh engine per seed). The floor
+    // sits between the two, so it trips when the memo stops outliving
+    // a run or its key stops ignoring pins the walk cannot read.
+    const MEMO_HIT_FLOOR: f64 = 0.47;
+    if memo_hit_rate < MEMO_HIT_FLOOR {
+        eprintln!(
+            "FAIL memo gate: oracle memo hit rate {memo_hit_rate:.3} on the torus JVV section is below {MEMO_HIT_FLOOR}"
+        );
+        failed = true;
+    } else {
+        println!(
+            "memo gate: oracle memo hit rate {memo_hit_rate:.3} (floor {MEMO_HIT_FLOOR}) — ok"
         );
     }
 

@@ -10,10 +10,10 @@ use lds_gibbs::models::ising::IsingParams;
 use lds_gibbs::models::matching::MatchingInstance;
 use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::models::{coloring, hardcore, two_spin};
-use lds_gibbs::{Config, PartialConfig};
+use lds_gibbs::{Config, GibbsModel, PartialConfig};
 use lds_graph::{Graph, Hypergraph, NodeId};
 use lds_localnet::{Instance, Network};
-use lds_oracle::{DecayRate, TwoSpinSawOracle};
+use lds_oracle::{DecayRate, MemoizedSawOracle, TwoSpinSawOracle};
 use lds_runtime::{CancelToken, Phase, ThreadPool};
 
 use crate::backend::{self, ApproxPath, Backend, ServedBackend, SweepBudget};
@@ -309,13 +309,9 @@ impl EngineBuilder {
                         g.node_count(),
                         BOUND_CALIBRATION,
                     );
-                    (
-                        hardcore::model(g, *lambda),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
-                        Decoder::Spins,
-                        rate,
-                        bound,
-                    )
+                    let model = hardcore::model(g, *lambda);
+                    let oracle = saw_oracle(TwoSpinParams::hardcore(*lambda), rate, &model);
+                    (model, oracle, Decoder::Spins, rate, bound)
                 }
                 ModelSpec::Matching { lambda } => {
                     let g = require_graph(&topology)?;
@@ -326,13 +322,9 @@ impl EngineBuilder {
                         BOUND_CALIBRATION,
                     );
                     let inst = MatchingInstance::new(g, *lambda);
-                    (
-                        inst.model().clone(),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
-                        Decoder::Matching(inst),
-                        rate,
-                        bound,
-                    )
+                    let model = inst.model().clone();
+                    let oracle = saw_oracle(TwoSpinParams::hardcore(*lambda), rate, &model);
+                    (model, oracle, Decoder::Matching(inst), rate, bound)
                 }
                 ModelSpec::Ising { beta, field } => {
                     let g = require_graph(&topology)?;
@@ -340,13 +332,9 @@ impl EngineBuilder {
                     let rate = regime::ising(g, params)?.rate;
                     let bound =
                         complexity::ssm_rounds_bound(rate, g.node_count(), BOUND_CALIBRATION);
-                    (
-                        two_spin::model(g, params.to_two_spin()),
-                        Arc::new(saw_oracle(params.to_two_spin(), rate)),
-                        Decoder::Spins,
-                        rate,
-                        bound,
-                    )
+                    let model = two_spin::model(g, params.to_two_spin());
+                    let oracle = saw_oracle(params.to_two_spin(), rate, &model);
+                    (model, oracle, Decoder::Spins, rate, bound)
                 }
                 ModelSpec::TwoSpin {
                     beta,
@@ -359,13 +347,9 @@ impl EngineBuilder {
                     let rate = regime::two_spin(params, *rate)?.rate;
                     let bound =
                         complexity::ssm_rounds_bound(rate, g.node_count(), BOUND_CALIBRATION);
-                    (
-                        two_spin::model(g, params),
-                        Arc::new(saw_oracle(params, rate)),
-                        Decoder::Spins,
-                        rate,
-                        bound,
-                    )
+                    let model = two_spin::model(g, params);
+                    let oracle = saw_oracle(params, rate, &model);
+                    (model, oracle, Decoder::Spins, rate, bound)
                 }
                 ModelSpec::Coloring { q } => {
                     let g = require_graph(&topology)?;
@@ -393,13 +377,9 @@ impl EngineBuilder {
                     let ig_delta = inst.intersection_graph().max_degree();
                     let rate = regime::hypergraph_matching(h, *lambda, ig_delta)?.rate;
                     let bound = complexity::log3_rounds_bound(h.node_count(), BOUND_CALIBRATION);
-                    (
-                        inst.model().clone(),
-                        Arc::new(saw_oracle(TwoSpinParams::hardcore(*lambda), rate)),
-                        Decoder::Hypergraph(inst),
-                        rate,
-                        bound,
-                    )
+                    let model = inst.model().clone();
+                    let oracle = saw_oracle(TwoSpinParams::hardcore(*lambda), rate, &model);
+                    (model, oracle, Decoder::Hypergraph(inst), rate, bound)
                 }
             };
 
@@ -520,8 +500,17 @@ fn validate_spec_parameters(spec: &ModelSpec) -> Result<(), EngineError> {
     }
 }
 
-fn saw_oracle(params: TwoSpinParams, rate: f64) -> TwoSpinSawOracle {
-    TwoSpinSawOracle::new(params, DecayRate::new(rate.clamp(1e-6, 0.95), 2.0))
+/// The SAW-tree oracle of every two-spin-shaped spec, memoized for the
+/// engine's lifetime: the memo lives in [`EngineCore`], so every run,
+/// batch and count of the engine shares it, and it is freed with the
+/// engine (in serving: when the registry evicts the tenant).
+fn saw_oracle(
+    params: TwoSpinParams,
+    rate: f64,
+    model: &GibbsModel,
+) -> Arc<dyn TaskOracle + Send + Sync> {
+    let saw = TwoSpinSawOracle::new(params, DecayRate::new(rate.clamp(1e-6, 0.95), 2.0));
+    Arc::new(MemoizedSawOracle::new(saw, model.graph()))
 }
 
 impl std::fmt::Debug for Engine {
@@ -571,7 +560,10 @@ impl Engine {
         self.core.rate
     }
 
-    /// The paper's round bound for this model with constant 1.
+    /// The paper's round bound for this model, evaluated with the
+    /// calibration constant 3 (`BOUND_CALIBRATION`): the asymptotic
+    /// bound's hidden constant is set so that the realized schedule cost
+    /// stays below it. [`RunReport::rounds`] is checked against it.
     pub fn bound_rounds(&self) -> f64 {
         self.core.bound_rounds
     }

@@ -94,7 +94,8 @@ pub struct RunReport {
     /// Simulated LOCAL rounds (for sampling tasks: the scheduler's
     /// round count; for inference/counting: the gather radius).
     pub rounds: usize,
-    /// The paper's round bound for this model evaluated with constant 1.
+    /// The paper's round bound for this model, evaluated with the
+    /// engine's calibration constant 3 (see [`crate::Engine::bound_rounds`]).
     pub bound_rounds: f64,
     /// The SSM decay rate used for radius planning.
     pub rate: f64,

@@ -16,6 +16,19 @@
 //!   extreme boundary conditions. Polynomial in the ball size; the same
 //!   oracle run on a line graph computes monomer–dimer (matching)
 //!   marginals — the duality of Corollary 5.3.
+//! * [`MemoizedSawOracle`] — the SAW oracle with a bounded memo over its
+//!   multiplicative queries, bound to one graph; every SAW-backed engine
+//!   serves through one for its whole lifetime. The key is the query
+//!   kind, `v`, the bits of `ε`, and the pins on `B_t(v)` with
+//!   `t = radius_mul(ε)`, packed 2 bits per ball node. Answers are
+//!   bit-identical to [`TwoSpinSawOracle`]'s: the oracle is a pure
+//!   function of that key (purity), and its walk reads no pin beyond
+//!   distance `t` (locality). The memo sits behind the first two depths
+//!   of the deepening, holds at most [`MEMO_CAPACITY`] entries in 16 locked shards,
+//!   and reports `oracle_queries`, `oracle_memo_hits`,
+//!   `oracle_memo_evictions`, `oracle_memo_entries`,
+//!   `oracle_budget_exhausted` and `oracle_stop_depth` to the `lds-obs`
+//!   registry.
 //! * [`BoostedOracle`] — the boosting lemma (Lemma 4.1): turns additive
 //!   (total-variation) inference error into multiplicative error by
 //!   pinning the frontier ring coordinate-by-coordinate with argmax
@@ -31,6 +44,7 @@
 pub mod boosting;
 mod decay;
 mod enumeration;
+pub mod memo;
 pub mod saw;
 
 pub use boosting::{
@@ -38,6 +52,7 @@ pub use boosting::{
 };
 pub use decay::DecayRate;
 pub use enumeration::EnumerationOracle;
+pub use memo::{MemoizedSawOracle, MEMO_CAPACITY};
 pub use saw::TwoSpinSawOracle;
 
 use lds_gibbs::{GibbsModel, PartialConfig};

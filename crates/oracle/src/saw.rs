@@ -20,6 +20,7 @@ use lds_gibbs::models::two_spin::TwoSpinParams;
 use lds_gibbs::{GibbsModel, PartialConfig, Value};
 use lds_graph::{EdgeId, Graph, NodeId};
 
+use crate::memo::SawMemo;
 use crate::{DecayRate, InferenceOracle};
 
 /// Certified marginal bounds from a truncated SAW tree.
@@ -228,13 +229,10 @@ impl TwoSpinSawOracle {
         v: NodeId,
         t: usize,
     ) -> MarginalBounds {
-        if let Some(val) = pinning.get(v) {
-            let p = if val == Value(1) { 1.0 } else { 0.0 };
-            return MarginalBounds { lo: p, hi: p };
+        if let Some(b) = pinned_bounds(pinning, v) {
+            return b;
         }
-        let mut on_path = vec![false; g.node_count()];
-        let mut exit_edge = vec![EdgeId(0); g.node_count()];
-        self.bounds_at_depth(g, pinning, v, t, &mut on_path, &mut exit_edge)
+        self.bounds_at_depth(g, pinning, v, t, &mut Scratch::new(g))
             .0
     }
 
@@ -246,10 +244,10 @@ impl TwoSpinSawOracle {
         pinning: &PartialConfig,
         v: NodeId,
         t: usize,
-        on_path: &mut Vec<bool>,
-        exit_edge: &mut Vec<EdgeId>,
+        scratch: &mut Scratch,
     ) -> (MarginalBounds, bool) {
         let mut budget = self.node_budget;
+        let Scratch { on_path, exit_edge } = scratch;
         let r = self.ratio(g, pinning, v, None, 0, t, on_path, exit_edge, &mut budget);
         let to_p = |r: f64| {
             if r.is_infinite() {
@@ -289,23 +287,206 @@ impl TwoSpinSawOracle {
         t_max: usize,
         decided: impl Fn(&MarginalBounds) -> bool,
     ) -> MarginalBounds {
-        if let Some(val) = pinning.get(v) {
-            let p = if val == Value(1) { 1.0 } else { 0.0 };
-            return MarginalBounds { lo: p, hi: p };
+        if let Some(b) = pinned_bounds(pinning, v) {
+            return b;
         }
-        let mut on_path = vec![false; g.node_count()];
-        let mut exit_edge = vec![EdgeId(0); g.node_count()];
-        for t in 1..t_max {
-            let (b, exhausted) =
-                self.bounds_at_depth(g, pinning, v, t, &mut on_path, &mut exit_edge);
-            if decided(&b) || exhausted {
-                return b;
+        self.deepen(g, pinning, v, 1, t_max, &decided, &mut Scratch::new(g))
+            .bounds
+    }
+
+    /// The deepening sequence from depth `from` on; see
+    /// [`TwoSpinSawOracle::marginal_bounds_anytime`].
+    #[allow(clippy::too_many_arguments)]
+    fn deepen(
+        &self,
+        g: &Graph,
+        pinning: &PartialConfig,
+        v: NodeId,
+        from: usize,
+        t_max: usize,
+        decided: &impl Fn(&MarginalBounds) -> bool,
+        scratch: &mut Scratch,
+    ) -> Deepened {
+        for t in from..t_max {
+            let (bounds, exhausted) = self.bounds_at_depth(g, pinning, v, t, scratch);
+            if decided(&bounds) || exhausted {
+                return Deepened {
+                    bounds,
+                    depth: t,
+                    exhausted,
+                };
             }
         }
         // the final attempt runs at the full planned radius, so the
         // result is never shallower-informed than the fixed-depth query
-        self.bounds_at_depth(g, pinning, v, t_max, &mut on_path, &mut exit_edge)
-            .0
+        let (bounds, exhausted) = self.bounds_at_depth(g, pinning, v, t_max, scratch);
+        Deepened {
+            bounds,
+            depth: t_max,
+            exhausted,
+        }
+    }
+
+    /// The anytime bounds a `kind` query at error `ε` stops at:
+    /// [`TwoSpinSawOracle::marginal_bounds_anytime`] up to the planned
+    /// radius, with `kind`'s stopping rule. With a `memo`, the attempts
+    /// at depths `1..=EARLY_OUT_DEPTH` still run first — a query they
+    /// decide never touches the memo — and the rest of the deepening is
+    /// answered from the memo when the same query was computed before.
+    /// Both paths run the same depth sequence, so they return the same
+    /// bits.
+    fn query_bounds(
+        &self,
+        g: &Graph,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+        kind: QueryKind,
+        memo: Option<&SawMemo>,
+    ) -> MarginalBounds {
+        if let Some(b) = pinned_bounds(pinning, v) {
+            return b;
+        }
+        let t_max = self.rate.radius_for(0.25 * eps);
+        let decided = |b: &MarginalBounds| kind.decided(b, eps);
+        let mut scratch = Scratch::new(g);
+        match memo {
+            Some(memo) if t_max > EARLY_OUT_DEPTH => {
+                for t in 1..=EARLY_OUT_DEPTH {
+                    let (bounds, exhausted) = self.bounds_at_depth(g, pinning, v, t, &mut scratch);
+                    if decided(&bounds) || exhausted {
+                        return bounds;
+                    }
+                }
+                memo.get_or_compute(g, pinning, v, eps, kind, t_max, || {
+                    self.deepen(
+                        g,
+                        pinning,
+                        v,
+                        EARLY_OUT_DEPTH + 1,
+                        t_max,
+                        &decided,
+                        &mut scratch,
+                    )
+                })
+            }
+            _ => {
+                self.deepen(g, pinning, v, 1, t_max, &decided, &mut scratch)
+                    .bounds
+            }
+        }
+    }
+
+    /// [`MultiplicativeInference::marginal_mul`], optionally memoized.
+    pub(crate) fn marginal_mul_in(
+        &self,
+        g: &Graph,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+        memo: Option<&SawMemo>,
+    ) -> Vec<f64> {
+        let b = self.query_bounds(g, pinning, v, eps, QueryKind::Marginal, memo);
+        // preserve certified zeros/ones exactly (support correctness)
+        let p = if b.hi == 0.0 {
+            0.0
+        } else if b.lo == 1.0 {
+            1.0
+        } else {
+            b.midpoint()
+        };
+        vec![1.0 - p, p]
+    }
+
+    /// [`MultiplicativeInference::support_mul`], optionally memoized.
+    pub(crate) fn support_mul_in(
+        &self,
+        g: &Graph,
+        pinning: &PartialConfig,
+        v: NodeId,
+        eps: f64,
+        memo: Option<&SawMemo>,
+    ) -> Vec<bool> {
+        if let Some(val) = pinning.get(v) {
+            return vec![val == Value(0), val == Value(1)];
+        }
+        let b = self.query_bounds(g, pinning, v, eps, QueryKind::Support, memo);
+        if QueryKind::Support.decided(&b, eps) {
+            return vec![b.lo < 1.0, b.hi > 0.0];
+        }
+        // undecided at the cap: fall back to the full estimate so the
+        // support matches `marginal_mul` exactly
+        self.marginal_mul_in(g, pinning, v, eps, memo)
+            .into_iter()
+            .map(|p| p > 0.0)
+            .collect()
+    }
+}
+
+/// The depths a memoized query always computes before it consults the
+/// memo: a walk this shallow costs about as much as a memo lookup.
+const EARLY_OUT_DEPTH: usize = 2;
+
+/// The point bounds of a pinned `v`, or `None` when `v` is free.
+fn pinned_bounds(pinning: &PartialConfig, v: NodeId) -> Option<MarginalBounds> {
+    pinning.get(v).map(|val| {
+        let p = if val == Value(1) { 1.0 } else { 0.0 };
+        MarginalBounds { lo: p, hi: p }
+    })
+}
+
+/// Per-query walk state: the current path and each path node's exit
+/// edge (for Weitz's cycle-closing rule).
+struct Scratch {
+    on_path: Vec<bool>,
+    exit_edge: Vec<EdgeId>,
+}
+
+impl Scratch {
+    fn new(g: &Graph) -> Self {
+        Scratch {
+            on_path: vec![false; g.node_count()],
+            exit_edge: vec![EdgeId(0); g.node_count()],
+        }
+    }
+}
+
+/// Where a deepening sequence stopped.
+pub(crate) struct Deepened {
+    /// The bounds at the stopping depth.
+    pub bounds: MarginalBounds,
+    /// The stopping depth.
+    pub depth: usize,
+    /// Whether the attempt at that depth ran out of node budget.
+    pub exhausted: bool,
+}
+
+/// The two multiplicative query kinds. Each has its own stopping rule,
+/// so the same `(v, ε, pinning)` may stop at different depths.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub(crate) enum QueryKind {
+    /// `marginal_mul`: stop once the certified per-entry relative error
+    /// of the midpoint is `≤ ε/3`.
+    Marginal,
+    /// `support_mul`: stop once positivity of both values is decided.
+    Support,
+}
+
+impl QueryKind {
+    fn decided(self, b: &MarginalBounds, eps: f64) -> bool {
+        match self {
+            // a rigorous form of the guarantee the worst-case radius plan
+            // only assumes
+            QueryKind::Marginal => {
+                b.hi == 0.0
+                    || b.lo == 1.0
+                    || (b.gap() <= (2.0 * eps / 3.0) * b.lo
+                        && b.gap() <= (2.0 * eps / 3.0) * (1.0 - b.hi))
+            }
+            // occupied decided: certified zero (hi = 0) or certified
+            // positive (lo > 0); vacant decided symmetrically at 1
+            QueryKind::Support => (b.hi == 0.0 || b.lo > 0.0) && (b.lo == 1.0 || b.hi < 1.0),
+        }
     }
 }
 
@@ -326,6 +507,12 @@ impl crate::MultiplicativeInference for TwoSpinSawOracle {
         self.rate.radius_for(0.25 * eps)
     }
 
+    /// Anytime deepening, stopped once the *certified* per-entry
+    /// relative error of the midpoint is `≤ ε/3`. The depth cap
+    /// ([`radius_mul`](crate::MultiplicativeInference::radius_mul)) and
+    /// the node budget still bound the work, so the result is never less
+    /// accurate than the fixed-depth query was. Certified zeros and ones
+    /// are returned exactly.
     fn marginal_mul(
         &self,
         model: &GibbsModel,
@@ -333,28 +520,7 @@ impl crate::MultiplicativeInference for TwoSpinSawOracle {
         v: NodeId,
         eps: f64,
     ) -> Vec<f64> {
-        let t = crate::MultiplicativeInference::radius_mul(self, model, eps);
-        // Anytime deepening, stopped once the *certified* per-entry
-        // relative error of the midpoint is ≤ ε/3 — a rigorous form of
-        // the guarantee the worst-case radius plan only assumes. The
-        // depth cap `t` and node budget still bound the work, so the
-        // result is never less accurate than the fixed-depth query was.
-        let decided = |b: &MarginalBounds| {
-            b.hi == 0.0
-                || b.lo == 1.0
-                || (b.gap() <= (2.0 * eps / 3.0) * b.lo
-                    && b.gap() <= (2.0 * eps / 3.0) * (1.0 - b.hi))
-        };
-        let b = self.marginal_bounds_anytime(model.graph(), pinning, v, t, decided);
-        // preserve certified zeros/ones exactly (support correctness)
-        let p = if b.hi == 0.0 {
-            0.0
-        } else if b.lo == 1.0 {
-            1.0
-        } else {
-            b.midpoint()
-        };
-        vec![1.0 - p, p]
+        self.marginal_mul_in(model.graph(), pinning, v, eps, None)
     }
 
     /// Positivity needs only a *decided* interval, not a tight one: a
@@ -369,24 +535,7 @@ impl crate::MultiplicativeInference for TwoSpinSawOracle {
         v: NodeId,
         eps: f64,
     ) -> Vec<bool> {
-        if let Some(val) = pinning.get(v) {
-            return vec![val == Value(0), val == Value(1)];
-        }
-        let t = crate::MultiplicativeInference::radius_mul(self, model, eps);
-        // occupied decided: certified zero (hi = 0) or certified
-        // positive (lo > 0); vacant decided symmetrically at 1
-        let decided =
-            |b: &MarginalBounds| (b.hi == 0.0 || b.lo > 0.0) && (b.lo == 1.0 || b.hi < 1.0);
-        let b = self.marginal_bounds_anytime(model.graph(), pinning, v, t, decided);
-        if decided(&b) {
-            return vec![b.lo < 1.0, b.hi > 0.0];
-        }
-        // undecided at the cap: fall back to the full estimate so the
-        // support matches `marginal_mul` exactly
-        crate::MultiplicativeInference::marginal_mul(self, model, pinning, v, eps)
-            .into_iter()
-            .map(|p| p > 0.0)
-            .collect()
+        self.support_mul_in(model.graph(), pinning, v, eps, None)
     }
 }
 

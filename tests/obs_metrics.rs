@@ -85,6 +85,24 @@ fn wire_metrics_snapshot_matches_the_local_registry() {
     assert!(wire.histogram("net_op_run_ns").unwrap().count >= 5);
     assert!(wire.histogram("net_op_ping_ns").unwrap().count >= 1);
 
+    // the tenant engine's SAW-oracle memo: queries, hits and computed
+    // stop depths are live; evictions and budget exhaustions are
+    // registered even while they read 0
+    for counter in ["oracle_queries", "oracle_memo_hits"] {
+        assert!(
+            wire.counter(counter).is_some_and(|v| v > 0),
+            "expected live counter {counter}"
+        );
+    }
+    for counter in ["oracle_memo_evictions", "oracle_budget_exhausted"] {
+        assert!(
+            wire.counter(counter).is_some(),
+            "expected counter {counter}"
+        );
+    }
+    assert!(wire.gauge("oracle_memo_entries").is_some_and(|v| v > 0));
+    assert!(wire.histogram("oracle_stop_depth").unwrap().count > 0);
+
     drop(client);
     server.shutdown();
 }
