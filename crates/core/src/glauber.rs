@@ -1,24 +1,35 @@
 //! Local Glauber dynamics (Fischer–Ghaffari, arXiv:1802.06676) as a
-//! chromatic [`ScanKernel`] sweep — the engine's second sampling backend.
+//! chromatic systematic scan — the engine's second sampling backend.
 //!
 //! The classic single-site Glauber dynamics resamples one uniformly
 //! random site per step from its exact conditional distribution; the
 //! *local* variant updates many non-adjacent sites per round, so the
 //! whole chain runs in `O(log n)` LOCAL rounds inside the uniqueness
 //! regime. This module implements the **systematic-scan** form of that
-//! chain on the workspace's existing machinery: one sweep is one
-//! chromatic scan ([`scheduler::run_kernel_chromatic_with_stats`]) in
-//! which every free node, visited in schedule order, resamples its spin
-//! from the conditional distribution given its current neighborhood —
-//! sites of the same color are distance `≥ locality + 2` apart, so the
-//! parallel cluster simulation is execution-equivalent to the sequential
-//! scan and the output is **bit-identical at any pool width**.
+//! chain: every sweep visits the nodes in the order of one chromatic
+//! schedule ([`scheduler::chromatic_schedule`], locality = the model's
+//! factor diameter), and every free node resamples its spin from the
+//! conditional distribution given its current neighborhood. Sites of
+//! the same color are distance `≥ locality + 2` apart, so this scan is
+//! the execution Lemma 3.1's parallel cluster simulation is equivalent
+//! to, and every run is charged the simulation's `schedule.rounds` LOCAL
+//! rounds per pass (the ground pass plus each sweep).
+//!
+//! The scan itself runs as one fused sequential loop on the caller's
+//! thread: no pool dispatch, no halo projection, one configuration and
+//! one weights buffer for the whole run. A site update is a handful of
+//! factor-table lookups, far less work than one pool dispatch, so fanning
+//! same-color clusters out to workers made the sweeps slower, not faster:
+//! on a 2-vCPU host, width 2 took 1.72 ms against 0.50 ms at width 1 on
+//! `torus(8,8)`, and 136 ms against 74 ms on `torus(64,64)`. The output
+//! is a function of the schedule order and the per-node randomness only,
+//! so it is the same at any pool width, and the round charge is unchanged.
 //!
 //! Contrast with [`crate::baselines::glauber_dynamics`], the sequential
 //! random-site baseline: same per-site update rule, but that chain picks
-//! sites with a global RNG and is inherently serial, while this one
-//! draws each site's randomness from [`Network::node_rng`] (per node,
-//! per sweep) and parallelizes across color classes.
+//! sites with a global RNG, while this one draws each site's randomness
+//! from [`Network::node_rng`] (per node, per sweep) — the randomness a
+//! LOCAL node holds.
 //!
 //! Each update touches only the factors containing the site — a table
 //! lookup per factor — so a sweep costs `O(n · q · deg)` arithmetic with
@@ -29,18 +40,16 @@
 //!
 //! The chain starts from the greedy feasible extension of the instance
 //! pinning (Remark 2.3's sequential local oblivious construction), run
-//! as a chromatic scan itself so the start state is deterministic and
-//! width-independent. Mixing is certified by
-//! [`crate::regime::glauber_plan`] from the model's SSM decay rate.
+//! over the same schedule order so the start state is deterministic.
+//! Mixing is certified by [`crate::regime::glauber_plan`] from the
+//! model's SSM decay rate.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use lds_gibbs::{distribution, Config, PartialConfig, Value};
+use lds_gibbs::{distribution, Config, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
-use lds_localnet::slocal::{ScanKernel, SlocalKernel};
 use lds_localnet::Network;
 use lds_runtime::{CancelToken, Cancelled, ThreadPool};
 
@@ -52,176 +61,9 @@ use lds_runtime::{CancelToken, Cancelled, ThreadPool};
 /// decomposition/node/workload tags.
 pub const STREAM_GLAUBER: u64 = 0x4_0000;
 
-/// The greedy ground pass: pin each free node, in schedule order, to the
-/// first value keeping the partial configuration locally feasible — the
-/// same Remark 2.3 construction [`crate::baselines::glauber_dynamics`]
-/// starts from, here as a pinning-extension kernel so the chromatic
-/// runner makes it width-independent. Reads pins only within the model
-/// locality of the processed node (the fully-pinned factors it checks
-/// all touch that node's ball).
-#[derive(Clone, Debug)]
-struct GreedyGroundKernel;
-
-impl SlocalKernel for GreedyGroundKernel {
-    fn process(&self, net: &Network, sigma: &PartialConfig, v: NodeId) -> (Value, bool) {
-        let model = net.instance().model();
-        let feasible = (0..model.alphabet_size())
-            .map(Value::from_index)
-            .find(|&c| model.is_locally_feasible(&sigma.with_pin(v, c)));
-        match feasible {
-            Some(c) => (c, false),
-            None => (Value(0), true),
-        }
-    }
-}
-
-/// Per-node effect of a Glauber sweep: the resampled value and whether
-/// it differs from the value the site held entering the sweep.
-#[derive(Clone, Copy, Debug)]
-pub struct GlauberUpdate {
-    /// The value the site holds after its update.
-    pub value: Value,
-    /// `true` if the update changed the site's value.
-    pub changed: bool,
-}
-
-/// Result of one full Glauber sweep.
-#[derive(Clone, Debug)]
-pub struct GlauberSweepRun {
-    /// The configuration after the sweep.
-    pub config: Config,
-    /// Free sites resampled by the sweep.
-    pub resampled: usize,
-    /// Resampled sites whose value changed.
-    pub changed: usize,
-}
-
-/// One systematic-scan Glauber sweep as a [`ScanKernel`].
-///
-/// The scan state is the full current configuration; processing a free
-/// node replaces its value with a draw from the exact conditional
-/// distribution given its neighborhood (computable from the factors
-/// touching the node only — locality `ℓ`, the model's factor diameter),
-/// using the node's private randomness for this sweep's stream. Pinned
-/// nodes are never updated.
-#[derive(Clone, Debug)]
-pub struct GlauberKernel {
-    initial: Arc<Config>,
-    stream: u64,
-}
-
-impl GlauberKernel {
-    /// A sweep kernel starting from `initial` and drawing node
-    /// randomness from `stream` (one distinct stream per sweep).
-    pub fn new(initial: Arc<Config>, stream: u64) -> Self {
-        GlauberKernel { initial, stream }
-    }
-}
-
-impl ScanKernel for GlauberKernel {
-    type State = Config;
-    type Effect = GlauberUpdate;
-    type Run = GlauberSweepRun;
-
-    fn init(&self, _net: &Network) -> Config {
-        (*self.initial).clone()
-    }
-
-    fn process(&self, net: &Network, state: &mut Config, v: NodeId) -> Option<GlauberUpdate> {
-        let model = net.instance().model();
-        if net.instance().pinning().is_pinned(v) {
-            return None;
-        }
-        let q = model.alphabet_size();
-        let mut weights = vec![0.0f64; q];
-        for (c, w) in weights.iter_mut().enumerate() {
-            let mut local = 1.0f64;
-            for &fi in model.factors_touching(v) {
-                let f = &model.factors()[fi];
-                local *= f
-                    .eval_partial(|s| {
-                        Some(if s == v {
-                            Value::from_index(c)
-                        } else {
-                            state.get(s)
-                        })
-                    })
-                    .expect("full config");
-                if local == 0.0 {
-                    break;
-                }
-            }
-            *w = local;
-        }
-        let current = state.get(v);
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            // frozen site (cannot happen from a feasible state): keep the
-            // current value without consuming randomness
-            return Some(GlauberUpdate {
-                value: current,
-                changed: false,
-            });
-        }
-        let mut rng = net.node_rng(v, self.stream);
-        let value = distribution::sample_from_marginal(&weights, &mut rng);
-        state.set(v, value);
-        Some(GlauberUpdate {
-            value,
-            changed: value != current,
-        })
-    }
-
-    fn apply(&self, state: &mut Config, v: NodeId, effect: &GlauberUpdate) {
-        state.set(v, effect.value);
-    }
-
-    /// Halo restriction of a dense configuration: only the halo's slots
-    /// are copied. Sound because an update reads the factors touching
-    /// the processed node (inside the halo by the schedule construction)
-    /// and writes only the node itself.
-    fn project(&self, state: &Config, halo: &[NodeId]) -> Config {
-        let mut p = Config::constant(state.len(), Value(0));
-        for &v in halo {
-            p.set(v, state.get(v));
-        }
-        p
-    }
-
-    fn project_into(
-        &self,
-        state: &Config,
-        halo: &[NodeId],
-        scratch: &mut Config,
-        stale: &[NodeId],
-    ) {
-        for &v in stale {
-            scratch.set(v, Value(0));
-        }
-        for &v in halo {
-            scratch.set(v, state.get(v));
-        }
-    }
-
-    fn projected_bytes(&self, _n: usize, halo: usize) -> u64 {
-        (halo * core::mem::size_of::<Value>()) as u64
-    }
-
-    fn finish(
-        &self,
-        _net: &Network,
-        state: Config,
-        effects: Vec<(NodeId, GlauberUpdate)>,
-    ) -> GlauberSweepRun {
-        let resampled = effects.len();
-        let changed = effects.iter().filter(|(_, e)| e.changed).count();
-        GlauberSweepRun {
-            config: state,
-            resampled,
-            changed,
-        }
-    }
-}
+/// Nodes scanned between cancellation checks, so a deadline token
+/// (whose check reads the clock) costs `O(n / 256)` clock reads per pass.
+const CANCEL_CHECK_STRIDE: usize = 256;
 
 /// Mixing diagnostics of a [`sample_glauber_with`] execution.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -248,17 +90,20 @@ pub struct GlauberTimings {
     pub ground: Duration,
     /// All Glauber sweeps.
     pub sweeps: Duration,
-    /// Halo/bytes-cloned telemetry summed over the ground pass and all
-    /// sweeps.
+    /// Always all zeros: the scan projects no cluster halos. Kept so
+    /// every sampling backend reports the same telemetry shape.
     pub sharding: ShardingStats,
 }
 
 /// Runs `sweeps` systematic-scan Glauber sweeps from the greedy ground
-/// state, all sharing one chromatic schedule (locality = the model's
-/// factor diameter) — the local Glauber dynamics of Fischer–Ghaffari in
-/// this workspace's scan form. Same-color clusters are simulated
-/// concurrently on `pool`; the result is **bit-identical to the
-/// sequential execution at any pool width**.
+/// state, all over one chromatic schedule (locality = the model's factor
+/// diameter) — the local Glauber dynamics of Fischer–Ghaffari in this
+/// workspace's scan form.
+///
+/// `pool` is not used: the whole run is one sequential scan on the
+/// caller's thread (see the module docs for why fan-out does not pay
+/// here). The parameter keeps the signature shared with the other
+/// sampling backends. The result is the same at any pool width.
 ///
 /// The reported round count charges `schedule.rounds` LOCAL rounds per
 /// chromatic pass (the ground pass plus each sweep), the cost of the
@@ -279,15 +124,17 @@ pub fn sample_glauber_with(
 }
 
 /// [`sample_glauber_with`] with cooperative cancellation: the token is
-/// threaded into every chromatic pass (checked between color rounds) and
-/// checked once per sweep. Checks consume no randomness, so a completed
-/// run is bit-identical to the uncancellable one; a cancelled run
-/// returns `Err(`[`Cancelled`]`)` with no partial result.
+/// checked before the schedule is built and then every
+/// `CANCEL_CHECK_STRIDE` (256) nodes of the ground pass and of each
+/// sweep, which includes once at the start of every sweep. Checks
+/// consume no randomness, so a completed run is bit-identical to the
+/// uncancellable one; a cancelled run returns `Err(`[`Cancelled`]`)`
+/// with no partial result.
 pub fn sample_glauber_cancellable_with(
     net: &Network,
     sweeps: usize,
     stream: u64,
-    pool: &ThreadPool,
+    _pool: &ThreadPool,
     cancel: &CancelToken,
 ) -> Result<
     (
@@ -298,7 +145,6 @@ pub fn sample_glauber_cancellable_with(
     ),
     Cancelled,
 > {
-    let n = net.node_count();
     let locality = net.instance().model().locality().max(1);
     let start = Instant::now();
     cancel.check()?;
@@ -306,16 +152,9 @@ pub fn sample_glauber_cancellable_with(
     let schedule_wall = start.elapsed();
 
     let start = Instant::now();
-    let (ground, mut sharding) = scheduler::run_kernel_chromatic_cancellable(
-        net,
-        &GreedyGroundKernel,
-        &schedule,
-        pool,
-        cancel,
-    )?;
+    let (mut config, ground_failures) = greedy_ground(net, &schedule.order, cancel)?;
     let ground_wall = start.elapsed();
 
-    let mut config = Config::from_values(ground.outputs);
     let mut stats = GlauberStats {
         sweeps,
         site_updates: 0,
@@ -323,20 +162,25 @@ pub fn sample_glauber_cancellable_with(
         locality,
     };
     let start = Instant::now();
+    let mut weights = vec![0.0f64; net.instance().model().alphabet_size()];
     for s in 0..sweeps {
-        cancel.check()?;
-        let kernel = GlauberKernel::new(Arc::new(config), stream_for_sweep(s));
-        let (run, pass) =
-            scheduler::run_kernel_chromatic_cancellable(net, &kernel, &schedule, pool, cancel)?;
-        sharding.merge(&pass);
-        stats.site_updates += run.resampled as u64;
-        stats.last_sweep_changes = run.changed;
-        config = run.config;
+        let (resampled, changed) = sweep(
+            net,
+            &mut config,
+            &schedule.order,
+            stream_for_sweep(s),
+            &mut weights,
+            cancel,
+        )?;
+        stats.site_updates += resampled as u64;
+        stats.last_sweep_changes = changed;
     }
     let sweeps_wall = start.elapsed();
 
-    let failures: Vec<bool> = (0..n)
-        .map(|v| ground.failures[v] || schedule.failed[v])
+    let failures: Vec<bool> = ground_failures
+        .iter()
+        .zip(&schedule.failed)
+        .map(|(&g, &d)| g || d)
         .collect();
     let rounds = schedule.rounds * (sweeps + 1);
     Ok((
@@ -351,9 +195,117 @@ pub fn sample_glauber_cancellable_with(
             schedule: schedule_wall,
             ground: ground_wall,
             sweeps: sweeps_wall,
-            sharding,
+            sharding: ShardingStats::default(),
         },
     ))
+}
+
+/// The greedy ground pass: pin each free node, in `order`, to the first
+/// value keeping the partial configuration locally feasible — the same
+/// Remark 2.3 construction [`crate::baselines::glauber_dynamics`] starts
+/// from. Returns the full configuration and the per-node failure bits; a
+/// node with no feasible value takes `Value(0)` and fails.
+///
+/// Linear in the model size. While the pins so far are locally feasible,
+/// pinning `v` to `c` keeps them feasible exactly when every factor
+/// touching `v` that the pin completes is positive, so only those
+/// factors are checked. Once a node fails, the pins hold a zero factor
+/// for good (pins only complete more factors), so every later free node
+/// fails too: the scan carries that as a `poisoned` flag, seeded by one
+/// feasibility check of the instance pinning.
+fn greedy_ground(
+    net: &Network,
+    order: &[NodeId],
+    cancel: &CancelToken,
+) -> Result<(Config, Vec<bool>), Cancelled> {
+    let model = net.instance().model();
+    let mut sigma = net.instance().pinning().clone();
+    let mut failures = vec![false; net.node_count()];
+    let mut poisoned = !model.is_locally_feasible(&sigma);
+    for chunk in order.chunks(CANCEL_CHECK_STRIDE) {
+        cancel.check()?;
+        for &v in chunk {
+            if sigma.is_pinned(v) {
+                continue;
+            }
+            let feasible = if poisoned {
+                None
+            } else {
+                (0..model.alphabet_size())
+                    .map(Value::from_index)
+                    .find(|&c| {
+                        model.factors_touching(v).iter().all(|&fi| {
+                            model.factors()[fi]
+                                .eval_partial(|s| if s == v { Some(c) } else { sigma.get(s) })
+                                .is_none_or(|w| w > 0.0)
+                        })
+                    })
+            };
+            let value = feasible.unwrap_or_else(|| {
+                poisoned = true;
+                failures[v.index()] = true;
+                Value(0)
+            });
+            sigma.pin(v, value);
+        }
+    }
+    Ok((sigma.to_config(), failures))
+}
+
+/// One systematic-scan Glauber sweep over `order`, in place: every free
+/// node replaces its value with a draw from the exact conditional
+/// distribution given its neighborhood (computed from the factors
+/// touching the node only), using the node's private randomness for
+/// `stream`. Returns the number of free sites resampled and how many of
+/// them changed value. A frozen site (no positive weight, which cannot
+/// happen from a feasible state) keeps its value and consumes no
+/// randomness.
+fn sweep(
+    net: &Network,
+    config: &mut Config,
+    order: &[NodeId],
+    stream: u64,
+    weights: &mut [f64],
+    cancel: &CancelToken,
+) -> Result<(usize, usize), Cancelled> {
+    let model = net.instance().model();
+    let pinning = net.instance().pinning();
+    let (mut resampled, mut changed) = (0usize, 0usize);
+    for chunk in order.chunks(CANCEL_CHECK_STRIDE) {
+        cancel.check()?;
+        for &v in chunk {
+            if pinning.is_pinned(v) {
+                continue;
+            }
+            resampled += 1;
+            for (c, w) in weights.iter_mut().enumerate() {
+                let mut local = 1.0f64;
+                for &fi in model.factors_touching(v) {
+                    local *= model.factors()[fi]
+                        .eval_partial(|s| {
+                            Some(if s == v {
+                                Value::from_index(c)
+                            } else {
+                                config.get(s)
+                            })
+                        })
+                        .expect("full config");
+                    if local == 0.0 {
+                        break;
+                    }
+                }
+                *w = local;
+            }
+            if weights.iter().sum::<f64>() <= 0.0 {
+                continue;
+            }
+            let current = config.get(v);
+            let value = distribution::sample_from_marginal(weights, &mut net.node_rng(v, stream));
+            config.set(v, value);
+            changed += usize::from(value != current);
+        }
+    }
+    Ok((resampled, changed))
 }
 
 /// The randomness stream for sweep `s`: distinct per sweep so each sweep
@@ -389,6 +341,82 @@ mod tests {
                 net.instance().model().weight(&config) > 0.0,
                 "seed {seed} produced an infeasible configuration"
             );
+        }
+    }
+
+    /// The greedy ground pass as it ran before the linear scan: clone
+    /// the pinning per candidate value and check every factor of the
+    /// model. The linear [`greedy_ground`] must match it bit for bit.
+    fn greedy_ground_reference(net: &Network, order: &[NodeId]) -> (Config, Vec<bool>) {
+        let model = net.instance().model();
+        let mut sigma = net.instance().pinning().clone();
+        let mut failures = vec![false; net.node_count()];
+        for &v in order {
+            if sigma.is_pinned(v) {
+                continue;
+            }
+            let feasible = (0..model.alphabet_size())
+                .map(Value::from_index)
+                .find(|&c| model.is_locally_feasible(&sigma.with_pin(v, c)));
+            match feasible {
+                Some(c) => sigma.pin(v, c),
+                None => {
+                    sigma.pin(v, Value(0));
+                    failures[v.index()] = true;
+                }
+            }
+        }
+        (sigma.to_config(), failures)
+    }
+
+    fn assert_ground_matches_reference(net: &Network, context: &str) -> bool {
+        let locality = net.instance().model().locality().max(1);
+        let schedule = scheduler::chromatic_schedule(net, locality, 0);
+        let (config, failures) =
+            greedy_ground(net, &schedule.order, &CancelToken::never()).unwrap();
+        let (ref_config, ref_failures) = greedy_ground_reference(net, &schedule.order);
+        assert_eq!(config, ref_config, "{context}: ground config");
+        assert_eq!(failures, ref_failures, "{context}: ground failures");
+        failures.iter().any(|&f| f)
+    }
+
+    #[test]
+    fn greedy_ground_matches_the_whole_config_check() {
+        // 2-colorings of an odd cycle: the greedy extension must fail
+        // somewhere, and every free node after the first failure fails
+        let g = generators::cycle(5);
+        let model = coloring::model(&g, 2);
+        let mut saw_failure = false;
+        for seed in 0..30 {
+            let net = Network::new(Instance::unconditioned(model.clone()), seed);
+            saw_failure |=
+                assert_ground_matches_reference(&net, &format!("2-coloring seed {seed}"));
+        }
+        assert!(saw_failure, "the odd-cycle 2-coloring never failed");
+        // a pinning that is infeasible from the start (with_pins does not
+        // re-check): every free node fails
+        let mut extra = PartialConfig::empty(5);
+        extra.pin(NodeId(0), Value(1));
+        extra.pin(NodeId(1), Value(1));
+        let net = Network::new(Instance::unconditioned(model), 3).with_pins(&extra);
+        assert!(assert_ground_matches_reference(&net, "infeasible pinning"));
+        // hardcore, free and pinned, on a cycle and a torus
+        for seed in 0..20 {
+            let net = hc_net(11, 1.0, seed);
+            assert!(!assert_ground_matches_reference(
+                &net,
+                &format!("hardcore seed {seed}")
+            ));
+            let g = generators::torus(5, 5);
+            let mut tau = PartialConfig::empty(25);
+            tau.pin(NodeId(seed as u32 % 25), Value(1));
+            tau.pin(NodeId(12), Value(0));
+            let inst = Instance::new(hardcore::model(&g, 1.0), tau).unwrap();
+            let net = Network::new(inst, seed);
+            assert!(!assert_ground_matches_reference(
+                &net,
+                &format!("pinned torus seed {seed}")
+            ));
         }
     }
 

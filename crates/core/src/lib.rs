@@ -56,7 +56,7 @@ pub mod sampling_to_inference;
 pub mod ssm_inference;
 pub mod stats;
 
-pub use glauber::{GlauberKernel, GlauberStats};
+pub use glauber::GlauberStats;
 pub use inference::LocalInference;
 pub use jvv::{JvvOutcome, JvvStats, LocalJvv};
 pub use sampler::SequentialSampler;

@@ -1,6 +1,9 @@
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use lds_gibbs::{GibbsModel, PartialConfig};
+use lds_graph::{power, traversal, Graph};
 
 /// Error returned when constructing an [`Instance`] whose pinning is not
 /// even locally feasible.
@@ -34,10 +37,25 @@ impl std::error::Error for InfeasiblePinning {}
 /// let inst = Instance::new(hardcore::model(&g, 1.0), tau).unwrap();
 /// assert_eq!(inst.pinning().pinned_count(), 1);
 /// ```
+///
+/// An instance also carries a shared cache of seed-independent facts
+/// about its carrier graph (its diameter and the power graphs `G^k`
+/// that chromatic schedules decompose). The cache fills on first use,
+/// and clones and [`Instance::with_pins`] children share it, since they
+/// all have the same graph.
 #[derive(Clone, Debug)]
 pub struct Instance {
     model: GibbsModel,
     pinning: PartialConfig,
+    topology: Arc<TopologyCache>,
+}
+
+/// Lazily filled topology of a carrier graph. Holds one power graph per
+/// distinct exponent requested, and nothing before the first request.
+#[derive(Debug, Default)]
+struct TopologyCache {
+    diameter: OnceLock<usize>,
+    powers: Mutex<HashMap<usize, Arc<Graph>>>,
 }
 
 impl Instance {
@@ -66,7 +84,11 @@ impl Instance {
         if !model.is_locally_feasible(&pinning) {
             return Err(InfeasiblePinning);
         }
-        Ok(Instance { model, pinning })
+        Ok(Instance {
+            model,
+            pinning,
+            topology: Arc::default(),
+        })
     }
 
     /// Creates an instance with the empty pinning (always feasible).
@@ -75,6 +97,7 @@ impl Instance {
         Instance {
             model,
             pinning: PartialConfig::empty(n),
+            topology: Arc::default(),
         }
     }
 
@@ -101,7 +124,27 @@ impl Instance {
         Instance {
             model: self.model.clone(),
             pinning,
+            topology: Arc::clone(&self.topology),
         }
+    }
+
+    /// The diameter of the carrier graph, computed on first use.
+    pub fn diameter(&self) -> usize {
+        *self
+            .topology
+            .diameter
+            .get_or_init(|| traversal::diameter(self.model.graph()) as usize)
+    }
+
+    /// The power graph `G^k` of the carrier graph, computed on the first
+    /// request for `k` and shared by every later one.
+    pub fn power_graph(&self, k: usize) -> Arc<Graph> {
+        let mut powers = self.topology.powers.lock().expect("topology cache lock");
+        Arc::clone(
+            powers
+                .entry(k)
+                .or_insert_with(|| Arc::new(power::power(self.model.graph(), k))),
+        )
     }
 }
 
@@ -141,5 +184,17 @@ mod tests {
         let inst2 = inst.with_pins(&extra);
         assert_eq!(inst2.pinning().pinned_count(), 1);
         assert_eq!(inst.pinning().pinned_count(), 0);
+    }
+
+    #[test]
+    fn topology_matches_the_graph_and_is_shared_by_clones() {
+        let g = generators::torus(4, 5);
+        let inst = Instance::unconditioned(hardcore::model(&g, 1.0));
+        assert_eq!(inst.diameter(), traversal::diameter(&g) as usize);
+        for k in [1, 2, 3] {
+            let h = inst.power_graph(k);
+            assert!(*h == power::power(&g, k), "G^{k}");
+            assert!(Arc::ptr_eq(&h, &inst.clone().power_graph(k)));
+        }
     }
 }

@@ -29,7 +29,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock};
 
-use lds_graph::{power, traversal, Graph, NodeId};
+use lds_graph::{traversal, Graph, NodeId};
 use lds_obs::trace::{self, TraceEvent};
 use lds_runtime::{streams, CancelToken, Cancelled, StreamRng, ThreadPool};
 
@@ -197,16 +197,21 @@ impl ShardingStats {
 /// [`streams::DECOMPOSITION`] domain, so it is independent of the
 /// algorithm randomness drawn from the per-node streams (Proposition
 /// 4.3) while sharing the one master seed.
+///
+/// The diameter and the power graph are seed-independent, so they come
+/// from the instance's topology cache ([`crate::Instance::diameter`],
+/// [`crate::Instance::power_graph`]): every schedule after the first on
+/// an instance skips both computations.
 pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> ChromaticSchedule {
-    let g = net.instance().model().graph();
+    let instance = net.instance();
+    let g = instance.model().graph();
     let n = g.node_count();
     // A LOCAL node never needs to gather beyond the graph's diameter:
     // radius `diam` already delivers the whole graph, so larger declared
     // localities are capped here (keeps simulated rounds honest on small
     // benchmark graphs whose diameter is below the asymptotic radius).
-    let diam = lds_graph::traversal::diameter(g) as usize;
-    let locality = locality.min(diam.max(1));
-    let h = power::power(g, locality + 1);
+    let locality = locality.min(instance.diameter().max(1));
+    let h = instance.power_graph(locality + 1);
     let mut rng = StreamRng::derive(net.seed(), streams::DECOMPOSITION)
         .substream(stream)
         .rng();
@@ -245,7 +250,9 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
     order.extend_from_slice(&tail);
     debug_assert_eq!(order.len(), n);
 
-    // Round cost: per color, gather cluster + halo and disseminate.
+    // Round cost: per color, gather cluster + halo and disseminate. The
+    // largest weak radius over all clusters is the largest per-color
+    // one, so one BFS per cluster serves both.
     let radius_by_color = decomposition.weak_radius_by_color(g);
     let rounds: usize = radius_by_color
         .iter()
@@ -256,7 +263,7 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
         failed: decomposition.failed.clone(),
         rounds,
         colors: decomposition.colors,
-        max_weak_radius: decomposition.max_weak_radius(g),
+        max_weak_radius: radius_by_color.iter().copied().max().unwrap_or(0),
         order,
         color_clusters: Arc::new(color_clusters),
         tail,
@@ -564,7 +571,7 @@ mod tests {
     use crate::Instance;
     use lds_gibbs::models::hardcore;
     use lds_gibbs::PartialConfig;
-    use lds_graph::{generators, ordering, traversal};
+    use lds_graph::{generators, ordering, power, traversal};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -678,6 +685,22 @@ mod tests {
                 let par = run_kernel_chromatic(&net, &ParityKernel, &s, &ThreadPool::new(threads));
                 assert_eq!(par.outputs, seq.outputs, "seed {seed} threads {threads}");
                 assert_eq!(par.failures, seq.failures);
+            }
+        }
+    }
+
+    #[test]
+    fn max_weak_radius_is_the_largest_per_color_radius() {
+        for seed in 0..8 {
+            let net = net(6, seed);
+            let g = net.instance().model().graph();
+            for r in [1, 2, 3] {
+                let s = chromatic_schedule(&net, r, seed);
+                assert_eq!(
+                    s.max_weak_radius,
+                    s.decomposition.max_weak_radius(g),
+                    "seed {seed} r {r}"
+                );
             }
         }
     }

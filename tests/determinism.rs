@@ -254,9 +254,9 @@ fn sampled_marginal_reconstruction_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// The Glauber path rides the same chromatic runtime as every other
-/// kernel, so its samples — and its mixing diagnostics — must be
-/// bit-identical at any pool width, across every model the backend can
+/// The Glauber path scans the same chromatic schedule order at every
+/// pool width, so its samples — and its mixing diagnostics — must be
+/// bit-identical at any width, across every model the backend can
 /// certify.
 #[test]
 fn glauber_batches_are_bit_identical_across_thread_counts() {
