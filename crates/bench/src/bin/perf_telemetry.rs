@@ -255,8 +255,7 @@ fn main() {
         metrics.push((format!("scoped_par_map_w{width}_ns"), scoped));
     }
 
-    // --- engine batch throughput, width 1 (the sequential reference the
-    // runtime bench compares widths against) ---
+    // --- engine batch throughput, width 1 ---
     let engine = Engine::builder()
         .model(ModelSpec::Hardcore { lambda: 1.0 })
         .graph(generators::cycle(10))
@@ -272,8 +271,8 @@ fn main() {
     });
     metrics.push(("run_batch_per_sample_ns".to_string(), batch_ns));
 
-    // --- local-JVV per-pass wall clock (the jvv bench's serving-path
-    // phases), width 1 on a torus ---
+    // --- local-JVV per-pass wall clock (the serving-path phases),
+    // width 1 on a torus ---
     let engine = Engine::builder()
         .model(ModelSpec::Hardcore { lambda: 1.0 })
         .graph(generators::torus(4, 4))

@@ -1,5 +1,5 @@
-//! Shared infrastructure for the experiment harness and Criterion
-//! benches: workload constructors and plain-text table rendering.
+//! Shared infrastructure for the `experiments` and `perf_telemetry`
+//! binaries: workload constructors and plain-text table rendering.
 //!
 //! The experiment index (E1–E8, S1–S2) is defined in DESIGN.md §5; the
 //! `experiments` binary regenerates every table, and EXPERIMENTS.md
@@ -94,11 +94,10 @@ pub fn d(x: impl Display) -> String {
     format!("{x}")
 }
 
-/// The PR 2 scoped-spawn parallel-map strategy, kept as the comparison
-/// baseline for the pool-reuse bench and the CI telemetry gate: scoped
-/// workers spawned per call, stealing item indices off a shared atomic
-/// counter, results gathered in input order. One copy here so the bench
-/// and the gate measure the same baseline.
+/// The scoped-spawn parallel-map strategy the persistent pool replaced,
+/// kept as the comparison baseline for the `perf_telemetry` pool-reuse
+/// gate: scoped workers spawned per call, stealing item indices off a
+/// shared atomic counter, results gathered in input order.
 pub fn scoped_par_map<T: Sync, R: Send, F: Fn(&T) -> R + Sync>(
     threads: usize,
     items: &[T],

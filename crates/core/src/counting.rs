@@ -136,7 +136,7 @@ pub struct CountRun {
 /// frozen chain at full `ε` through
 /// [`lds_oracle::chain_marginals_mul`], fanned
 /// across `pool`. The result is bit-identical at every pool width (and
-/// to [`log_partition_function_reference`]).
+/// to the frozen straight-line reference in `tests/counting_parallel.rs`).
 pub fn log_partition_function_detailed<O>(
     model: &GibbsModel,
     pinning: &PartialConfig,
@@ -205,24 +205,9 @@ where
     })
 }
 
-/// [`log_partition_function`] with the marginal pass fanned across
-/// `pool`. Bit-identical at every pool width.
-pub fn log_partition_function_with<O>(
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    oracle: &O,
-    eps: f64,
-    pool: &ThreadPool,
-) -> Result<CountEstimate, CountError>
-where
-    O: MultiplicativeInference + Clone + Send + Sync + 'static,
-{
-    log_partition_function_detailed(model, pinning, oracle, eps, pool).map(|run| run.estimate)
-}
-
 /// Estimates `ln Z^τ` using a multiplicative inference oracle with error
-/// `ε` per marginal (sequential; see [`log_partition_function_with`] for
-/// the pooled variant).
+/// `ε` per marginal (sequential; see [`log_partition_function_detailed`]
+/// for the pooled variant with per-phase telemetry).
 pub fn log_partition_function<O>(
     model: &GibbsModel,
     pinning: &PartialConfig,
@@ -232,71 +217,8 @@ pub fn log_partition_function<O>(
 where
     O: MultiplicativeInference + Clone + Send + Sync + 'static,
 {
-    log_partition_function_with(model, pinning, oracle, eps, &ThreadPool::sequential())
-}
-
-/// **Frozen reference**: the straight-line sequential form of the
-/// two-pass estimator, kept verbatim as the bit-identity target for the
-/// cross-width proptests (`tests/counting_parallel.rs`). Do not
-/// "improve" this function — change [`log_partition_function_detailed`]
-/// and let the tests prove agreement.
-pub fn log_partition_function_reference<O: MultiplicativeInference>(
-    model: &GibbsModel,
-    pinning: &PartialConfig,
-    oracle: &O,
-    eps: f64,
-) -> Result<CountEstimate, CountError> {
-    let n = model.node_count();
-    let anchor_eps = eps.max(ANCHOR_EPS_FLOOR);
-
-    // anchor pass: coarse greedy argmax pinning
-    let mut sigma = pinning.clone();
-    let mut levels: Vec<(NodeId, Value)> = Vec::new();
-    for v in (0..n).map(NodeId::from_index) {
-        if sigma.is_pinned(v) {
-            continue;
-        }
-        let mu = oracle.marginal_mul(model, &sigma, v, anchor_eps);
-        let (argmax, p) = mu
-            .iter()
-            .copied()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite marginal"))
-            .ok_or(CountError::EmptyMarginal { vertex: v })?;
-        if p <= 0.0 {
-            return Err(CountError::NonPositiveMarginal { vertex: v });
-        }
-        let val = Value::from_index(argmax);
-        sigma.pin(v, val);
-        levels.push((v, val));
-    }
-    let anchor = sigma.to_config();
-    let w = model.weight(&anchor);
-    if w <= 0.0 {
-        return Err(CountError::InfeasibleAnchor);
-    }
-
-    // marginal pass: full-precision chain walk
-    let mut prefix = pinning.clone();
-    let mut log_z = w.ln();
-    for &(v, val) in &levels {
-        let mu = oracle.marginal_mul(model, &prefix, v, eps);
-        let p = mu
-            .get(val.index())
-            .copied()
-            .ok_or(CountError::EmptyMarginal { vertex: v })?;
-        if p <= 0.0 {
-            return Err(CountError::NonPositiveMarginal { vertex: v });
-        }
-        log_z -= p.ln();
-        prefix.pin(v, val);
-    }
-
-    Ok(CountEstimate {
-        log_z,
-        log_error_bound: levels.len() as f64 * eps,
-        anchor,
-    })
+    log_partition_function_detailed(model, pinning, oracle, eps, &ThreadPool::sequential())
+        .map(|run| run.estimate)
 }
 
 /// Tuning knobs for [`log_partition_function_annealed`].
@@ -763,29 +685,6 @@ mod tests {
             new.log_z,
             old.log_z
         );
-    }
-
-    #[test]
-    fn pooled_estimator_matches_reference_bitwise() {
-        let g = generators::grid(3, 3);
-        let model = hardcore::model(&g, 0.8);
-        let oracle = BoostedOracle::new(TwoSpinSawOracle::new(
-            TwoSpinParams::hardcore(0.8),
-            DecayRate::new(0.5, 2.0),
-        ));
-        let mut tau = PartialConfig::empty(9);
-        tau.pin(NodeId(4), Value(0));
-        let reference = log_partition_function_reference(&model, &tau, &oracle, 1e-3).unwrap();
-        for threads in [1usize, 4, 8] {
-            let pool = ThreadPool::new(threads);
-            let run = log_partition_function_detailed(&model, &tau, &oracle, 1e-3, &pool).unwrap();
-            assert_eq!(run.estimate.log_z.to_bits(), reference.log_z.to_bits());
-            assert_eq!(
-                run.estimate.log_error_bound.to_bits(),
-                reference.log_error_bound.to_bits()
-            );
-            assert_eq!(run.levels, 8);
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 use lds_gibbs::{distribution, Config, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
-use lds_localnet::scheduler::{self, ChromaticSchedule, ShardingStats};
+use lds_localnet::scheduler::{self, ChromaticSchedule};
 use lds_localnet::Network;
 use lds_runtime::{CancelToken, Cancelled, ThreadPool};
 
@@ -90,9 +90,6 @@ pub struct GlauberTimings {
     pub ground: Duration,
     /// All Glauber sweeps.
     pub sweeps: Duration,
-    /// Always all zeros: the scan projects no cluster halos. Kept so
-    /// every sampling backend reports the same telemetry shape.
-    pub sharding: ShardingStats,
 }
 
 /// Runs `sweeps` systematic-scan Glauber sweeps from the greedy ground
@@ -195,7 +192,6 @@ pub fn sample_glauber_cancellable_with(
             schedule: schedule_wall,
             ground: ground_wall,
             sweeps: sweeps_wall,
-            sharding: ShardingStats::default(),
         },
     ))
 }

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use lds_core::sampling_to_inference::{self, SampledMarginals};
+use lds_core::sampling_to_inference;
 use lds_core::{complexity, counting, glauber, jvv, regime, sampler};
 use lds_gibbs::models::hypergraph_matching::HypergraphMatchingInstance;
 use lds_gibbs::models::ising::IsingParams;
@@ -763,8 +763,22 @@ impl Engine {
         repetitions: usize,
         seed0: u64,
     ) -> Result<MarginalsReport, EngineError> {
+        if repetitions == 0 {
+            return Err(EngineError::InvalidParameter {
+                name: "repetitions",
+                message: "need at least one sampler execution".into(),
+            });
+        }
         let start = Instant::now();
-        let run = self.sampled_marginals_raw(repetitions, seed0)?;
+        let net = Network::from_shared(Arc::clone(&self.core.instance), seed0);
+        let run = sampling_to_inference::marginals_by_sampling_with(
+            &net,
+            &self.core.oracle_handle(),
+            self.core.delta,
+            repetitions,
+            seed0,
+            &self.core.pool,
+        );
         Ok(MarginalsReport {
             method: MarginalsMethod::Sampled {
                 repetitions: run.repetitions,
@@ -776,54 +790,6 @@ impl Engine {
             wall_time: start.elapsed(),
             phases: vec![Phase::new("sampling", start.elapsed(), run.rounds)],
         })
-    }
-
-    /// Bare-table predecessor of [`Engine::marginals`].
-    #[deprecated(since = "0.8.0", note = "use `Engine::marginals` (structured report)")]
-    pub fn marginals_exact_all(&self) -> Vec<Vec<f64>> {
-        self.marginals().marginals
-    }
-
-    /// Bare-struct predecessor of [`Engine::marginals_sampled`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::InvalidParameter`] if `repetitions` is zero.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use `Engine::marginals_sampled` (structured report)"
-    )]
-    pub fn marginals_by_sampling(
-        &self,
-        repetitions: usize,
-        seed0: u64,
-    ) -> Result<SampledMarginals, EngineError> {
-        self.sampled_marginals_raw(repetitions, seed0)
-    }
-
-    /// Shared body of [`Engine::marginals_sampled`] and its deprecated
-    /// shim.
-    fn sampled_marginals_raw(
-        &self,
-        repetitions: usize,
-        seed0: u64,
-    ) -> Result<SampledMarginals, EngineError> {
-        if repetitions == 0 {
-            return Err(EngineError::InvalidParameter {
-                name: "repetitions",
-                message: "need at least one sampler execution".into(),
-            });
-        }
-        let net = Network::from_shared(Arc::clone(&self.core.instance), seed0);
-        let handle = self.core.oracle_handle();
-        Ok(sampling_to_inference::marginals_by_sampling_with(
-            &net,
-            &handle,
-            self.core.delta,
-            repetitions,
-            seed0,
-            &self.core.pool,
-        ))
     }
 }
 
@@ -958,7 +924,7 @@ impl EngineCore {
                             run.rounds,
                             None,
                             phases,
-                            Some(timings.sharding),
+                            None,
                             ServedBackend::Glauber { sweeps },
                             Some(gstats),
                         )

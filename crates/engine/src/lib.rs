@@ -78,7 +78,6 @@ pub use backend::{Backend, ServedBackend, SweepBudget};
 pub use engine::{Engine, EngineBuilder};
 pub use error::EngineError;
 pub use lds_core::glauber::GlauberStats;
-pub use lds_core::sampling_to_inference::SampledMarginals;
 pub use oracle::{BoostedEnumeration, TaskOracle};
 pub use report::{
     MarginalsMethod, MarginalsReport, RunReport, SampleDecode, ShardingStats, Task, TaskOutput,

@@ -116,9 +116,11 @@ pub struct RunReport {
     /// bounded by [`RunReport::wall_time`].
     pub phases: Vec<Phase>,
     /// Halo-sharding telemetry of the chromatic cluster simulation
-    /// (sampling tasks only; `None` for inference/counting). At pool
-    /// width 1 the scheduler takes the sequential path and the stats
-    /// are all zero — nothing is shipped anywhere.
+    /// (chain-rule and JVV sampling only; `None` for Glauber-served
+    /// samples, whose scan projects no cluster halos, and for
+    /// inference/counting). At pool width 1 the scheduler takes the
+    /// sequential path and the stats are all zero — nothing is shipped
+    /// anywhere.
     pub sharding: Option<ShardingStats>,
 }
 

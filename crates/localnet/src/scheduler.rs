@@ -479,66 +479,6 @@ where
     Ok((kernel.finish(net, state, effects), stats))
 }
 
-/// The **frozen pre-sharding** chromatic runner: full-state snapshot per
-/// color (`Arc<state.clone()>`), a second full clone per cluster, no
-/// projections. Kept verbatim as the reference implementation the halo
-/// equivalence proptest (`tests/halo_sharding.rs`) compares
-/// [`run_kernel_chromatic`] against, bit for bit. Not part of any
-/// serving path.
-#[doc(hidden)]
-pub fn run_kernel_chromatic_reference<K>(
-    net: &Network,
-    kernel: &K,
-    schedule: &ChromaticSchedule,
-    pool: &ThreadPool,
-) -> K::Run
-where
-    K: ScanKernel + Clone + Send + Sync + 'static,
-{
-    if pool.is_sequential() {
-        return crate::slocal::run_scan_sequential(net, kernel, &schedule.order);
-    }
-    let mut state = kernel.init(net);
-    let mut effects: Vec<(NodeId, K::Effect)> = Vec::new();
-    for clusters in schedule.color_clusters.iter() {
-        if let [cluster] = clusters.as_slice() {
-            for &v in cluster {
-                if let Some(e) = kernel.process(net, &mut state, v) {
-                    effects.push((v, e));
-                }
-            }
-            continue;
-        }
-        let snapshot = Arc::new(state.clone());
-        let runs: Vec<Vec<(NodeId, K::Effect)>> = pool.par_map(clusters, {
-            let net = net.clone();
-            let kernel = kernel.clone();
-            move |cluster: &Vec<NodeId>| {
-                let mut local = (*snapshot).clone();
-                let mut out = Vec::with_capacity(cluster.len());
-                for &v in cluster {
-                    if let Some(e) = kernel.process(&net, &mut local, v) {
-                        out.push((v, e));
-                    }
-                }
-                out
-            }
-        });
-        for cluster_out in runs {
-            for (v, e) in cluster_out {
-                kernel.apply(&mut state, v, &e);
-                effects.push((v, e));
-            }
-        }
-    }
-    for &v in &schedule.tail {
-        if let Some(e) = kernel.process(net, &mut state, v) {
-            effects.push((v, e));
-        }
-    }
-    kernel.finish(net, state, effects)
-}
-
 /// Runs an SLOCAL algorithm as a LOCAL algorithm via the chromatic
 /// schedule (Lemma 3.1). The returned run's `failures` combine the
 /// algorithm's own `F′_v` with the decomposition's `F″_v`; conditioned on

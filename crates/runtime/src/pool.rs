@@ -416,8 +416,8 @@ mod tests {
     #[test]
     fn workers_persist_across_calls() {
         // many consecutive calls on one pool: all correct, no respawn
-        // needed for correctness (the spawn-cost win is measured in the
-        // pool bench, not asserted here)
+        // needed for correctness (the spawn-cost win is measured by
+        // perf_telemetry's pool-reuse section, not asserted here)
         let pool = ThreadPool::new(4);
         for round in 0..100u64 {
             let out = pool.par_map(&(0..16u64).collect::<Vec<_>>(), move |&x| x + round);

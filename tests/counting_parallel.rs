@@ -5,7 +5,7 @@
 //! single sequential walk into a cheap coarse-precision anchor pass
 //! followed by a parallel marginal pass over the frozen pinning chain
 //! (fanned through `lds_runtime::ThreadPool`). The straight-line form
-//! of the new algorithm is kept frozen as
+//! of the new algorithm is kept frozen here as
 //! `log_partition_function_reference`; this suite checks the pooled
 //! execution against it:
 //!
@@ -25,8 +25,8 @@
 //! so every leg checks the full 1/4/8 sweep.
 
 use lds::core::counting::{
-    log_partition_function_annealed, log_partition_function_detailed,
-    log_partition_function_reference, AnnealedConfig, CountError,
+    log_partition_function_annealed, log_partition_function_detailed, AnnealedConfig, CountError,
+    CountEstimate, ANCHOR_EPS_FLOOR,
 };
 use lds::gibbs::models::two_spin::TwoSpinParams;
 use lds::gibbs::models::{coloring, hardcore, matching::MatchingInstance};
@@ -39,6 +39,69 @@ use lds::runtime::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// **Frozen reference**: the straight-line sequential form of the
+/// two-pass estimator, kept verbatim as the bit-identity target for the
+/// cross-width checks below. Do not "improve" this function — change
+/// `log_partition_function_detailed` and let the tests prove agreement.
+fn log_partition_function_reference<O: MultiplicativeInference>(
+    model: &GibbsModel,
+    pinning: &PartialConfig,
+    oracle: &O,
+    eps: f64,
+) -> Result<CountEstimate, CountError> {
+    let n = model.node_count();
+    let anchor_eps = eps.max(ANCHOR_EPS_FLOOR);
+
+    // anchor pass: coarse greedy argmax pinning
+    let mut sigma = pinning.clone();
+    let mut levels: Vec<(NodeId, Value)> = Vec::new();
+    for v in (0..n).map(NodeId::from_index) {
+        if sigma.is_pinned(v) {
+            continue;
+        }
+        let mu = oracle.marginal_mul(model, &sigma, v, anchor_eps);
+        let (argmax, p) = mu
+            .iter()
+            .copied()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite marginal"))
+            .ok_or(CountError::EmptyMarginal { vertex: v })?;
+        if p <= 0.0 {
+            return Err(CountError::NonPositiveMarginal { vertex: v });
+        }
+        let val = Value::from_index(argmax);
+        sigma.pin(v, val);
+        levels.push((v, val));
+    }
+    let anchor = sigma.to_config();
+    let w = model.weight(&anchor);
+    if w <= 0.0 {
+        return Err(CountError::InfeasibleAnchor);
+    }
+
+    // marginal pass: full-precision chain walk
+    let mut prefix = pinning.clone();
+    let mut log_z = w.ln();
+    for &(v, val) in &levels {
+        let mu = oracle.marginal_mul(model, &prefix, v, eps);
+        let p = mu
+            .get(val.index())
+            .copied()
+            .ok_or(CountError::EmptyMarginal { vertex: v })?;
+        if p <= 0.0 {
+            return Err(CountError::NonPositiveMarginal { vertex: v });
+        }
+        log_z -= p.ln();
+        prefix.pin(v, val);
+    }
+
+    Ok(CountEstimate {
+        log_z,
+        log_error_bound: levels.len() as f64 * eps,
+        anchor,
+    })
+}
 
 fn workload(idx: usize, seed: u64) -> Graph {
     match idx % 5 {
@@ -157,7 +220,8 @@ fn parallel_counter_equals_reference_on_colorings() {
 }
 
 /// The equivalence for matchings via the line-graph duality (the third
-/// oracle-backed model family of the counting wrappers).
+/// oracle-backed model family of the counting wrappers), plus a
+/// sharp-ε pinned hardcore grid through the same boosted SAW oracle.
 #[test]
 fn parallel_counter_equals_reference_on_matchings() {
     let oracle = saw_oracle(1.0);
@@ -175,6 +239,10 @@ fn parallel_counter_equals_reference_on_matchings() {
         tau.pin(NodeId(0), Value(0));
         assert_matches_reference(inst.model(), &tau, &oracle, 0.2, "matching pinned");
     }
+    let model = hardcore::model(&generators::grid(3, 3), 0.8);
+    let mut tau = PartialConfig::empty(9);
+    tau.pin(NodeId(4), Value(0));
+    assert_matches_reference(&model, &tau, &saw_oracle(0.8), 1e-3, "hardcore grid pinned");
 }
 
 /// A misbehaving oracle that steers the anchor into a zero-weight

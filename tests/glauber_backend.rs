@@ -6,8 +6,7 @@
 //! its width-independence in `tests/determinism.rs`; this suite covers
 //! the *surface*: set-time validation, fingerprint separation, the
 //! typed `BackendUnavailable` failure, `Auto` resolution, the report
-//! fields, and the structured marginals reports with their deprecated
-//! shims.
+//! fields, and the structured marginals reports.
 
 use lds::engine::{
     Backend, Engine, EngineError, MarginalsMethod, ModelSpec, ServedBackend, SweepBudget, Task,
@@ -155,6 +154,10 @@ fn glauber_reports_carry_the_resolved_budget_and_diagnostics() {
     assert_eq!(stats.sweeps, 17);
     assert!(stats.site_updates > 0, "sweeps must touch sites");
     assert!(report.stats.is_none(), "no JVV stats on the Glauber path");
+    assert!(
+        report.sharding.is_none(),
+        "the Glauber scan projects no cluster halos"
+    );
 
     // the exact paths are untouched by the backend choice
     let exact = engine.run(Task::SampleExact).unwrap();
@@ -236,34 +239,4 @@ fn structured_marginals_reports_mirror_run_reports() {
         engine.marginals_sampled(0, 3).is_err(),
         "zero repetitions is invalid"
     );
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_marginals_shims_agree_with_the_reports() {
-    let engine = builder_on_cycle(6).build().unwrap();
-    let bits = |table: &[Vec<f64>]| -> Vec<Vec<u64>> {
-        table
-            .iter()
-            .map(|mu| mu.iter().map(|x| x.to_bits()).collect())
-            .collect()
-    };
-    assert_eq!(
-        bits(&engine.marginals_exact_all()),
-        bits(&engine.marginals().marginals)
-    );
-    let old = engine.marginals_by_sampling(80, 5).unwrap();
-    let new = engine.marginals_sampled(80, 5).unwrap();
-    assert_eq!(bits(&old.marginals), bits(&new.marginals));
-    match new.method {
-        MarginalsMethod::Sampled {
-            repetitions,
-            failure_rate,
-            ..
-        } => {
-            assert_eq!(repetitions, old.repetitions);
-            assert_eq!(failure_rate.to_bits(), old.failure_rate.to_bits());
-        }
-        other => panic!("expected Sampled, got {other:?}"),
-    }
 }

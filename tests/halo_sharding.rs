@@ -23,15 +23,72 @@
 use lds::gibbs::models::hardcore;
 use lds::gibbs::{PartialConfig, Value};
 use lds::graph::{generators, traversal, Graph, NodeId};
-use lds::localnet::scheduler::{
-    self, run_kernel_chromatic_reference, run_kernel_chromatic_with_stats,
-};
-use lds::localnet::slocal::{run_kernel_sequential, ScanKernel, SlocalKernel};
+use lds::localnet::scheduler::{self, run_kernel_chromatic_with_stats, ChromaticSchedule};
+use lds::localnet::slocal::{run_kernel_sequential, run_scan_sequential, ScanKernel, SlocalKernel};
 use lds::localnet::{Instance, Network};
 use lds::runtime::ThreadPool;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
+
+/// The **frozen pre-sharding** chromatic runner: full-state snapshot per
+/// color (`Arc<state.clone()>`), a second full clone per cluster, no
+/// projections. Kept verbatim as the reference implementation the halo
+/// equivalence proptest below compares
+/// [`scheduler::run_kernel_chromatic`] against, bit for bit.
+fn run_kernel_chromatic_reference<K>(
+    net: &Network,
+    kernel: &K,
+    schedule: &ChromaticSchedule,
+    pool: &ThreadPool,
+) -> K::Run
+where
+    K: ScanKernel + Clone + Send + Sync + 'static,
+{
+    if pool.is_sequential() {
+        return run_scan_sequential(net, kernel, &schedule.order);
+    }
+    let mut state = kernel.init(net);
+    let mut effects: Vec<(NodeId, K::Effect)> = Vec::new();
+    for clusters in schedule.color_clusters.iter() {
+        if let [cluster] = clusters.as_slice() {
+            for &v in cluster {
+                if let Some(e) = kernel.process(net, &mut state, v) {
+                    effects.push((v, e));
+                }
+            }
+            continue;
+        }
+        let snapshot = Arc::new(state.clone());
+        let runs: Vec<Vec<(NodeId, K::Effect)>> = pool.par_map(clusters, {
+            let net = net.clone();
+            let kernel = kernel.clone();
+            move |cluster: &Vec<NodeId>| {
+                let mut local = (*snapshot).clone();
+                let mut out = Vec::with_capacity(cluster.len());
+                for &v in cluster {
+                    if let Some(e) = kernel.process(&net, &mut local, v) {
+                        out.push((v, e));
+                    }
+                }
+                out
+            }
+        });
+        for cluster_out in runs {
+            for (v, e) in cluster_out {
+                kernel.apply(&mut state, v, &e);
+                effects.push((v, e));
+            }
+        }
+    }
+    for &v in &schedule.tail {
+        if let Some(e) = kernel.process(net, &mut state, v) {
+            effects.push((v, e));
+        }
+    }
+    kernel.finish(net, state, effects)
+}
 
 fn workload(idx: usize, seed: u64) -> Graph {
     match idx % 5 {
