@@ -687,6 +687,55 @@ mod tests {
         );
     }
 
+    /// The pooled two-pass estimator against the sequential chain walk
+    /// written out straight: coarse greedy argmax anchor, then `ln w(anchor)`
+    /// minus the full-precision log-marginals along the frozen chain.
+    #[test]
+    fn pooled_estimator_matches_reference_bitwise() {
+        let g = generators::grid(3, 3);
+        let model = hardcore::model(&g, 0.8);
+        let oracle = BoostedOracle::new(TwoSpinSawOracle::new(
+            TwoSpinParams::hardcore(0.8),
+            DecayRate::new(0.5, 2.0),
+        ));
+        let eps = 1e-3f64;
+        let mut tau = PartialConfig::empty(9);
+        tau.pin(NodeId(4), Value(0));
+
+        let mut sigma = tau.clone();
+        let mut levels = Vec::new();
+        for v in (0..9).map(NodeId::from_index) {
+            if sigma.is_pinned(v) {
+                continue;
+            }
+            let mu = oracle.marginal_mul(&model, &sigma, v, eps.max(ANCHOR_EPS_FLOOR));
+            let argmax = (0..mu.len())
+                .max_by(|&a, &b| mu[a].partial_cmp(&mu[b]).unwrap())
+                .unwrap();
+            sigma.pin(v, Value::from_index(argmax));
+            levels.push((v, Value::from_index(argmax)));
+        }
+        let anchor = sigma.to_config();
+        let mut prefix = tau.clone();
+        let mut log_z = model.weight(&anchor).ln();
+        for &(v, val) in &levels {
+            log_z -= oracle.marginal_mul(&model, &prefix, v, eps)[val.index()].ln();
+            prefix.pin(v, val);
+        }
+
+        for threads in [1usize, 4, 8] {
+            let pool = ThreadPool::new(threads);
+            let run = log_partition_function_detailed(&model, &tau, &oracle, eps, &pool).unwrap();
+            assert_eq!(run.estimate.log_z.to_bits(), log_z.to_bits());
+            assert_eq!(
+                run.estimate.log_error_bound.to_bits(),
+                (levels.len() as f64 * eps).to_bits()
+            );
+            assert_eq!(run.estimate.anchor, anchor);
+            assert_eq!(run.levels, 8);
+        }
+    }
+
     #[test]
     fn detailed_run_reports_phase_times() {
         let g = generators::cycle(8);
