@@ -1,6 +1,6 @@
 //! The experiment harness: regenerates every quantitative claim of the
-//! paper (experiment index in DESIGN.md §5; results recorded in
-//! EXPERIMENTS.md).
+//! paper, one table per experiment (E1–E8, S1–S2), each captioned with
+//! the claim it checks.
 //!
 //! Usage: `cargo run -p lds-bench --bin experiments --release [-- <ids>]`
 //! where `<ids>` is a subset of `e1 e2 e3 e4 e5 e6a e6b e6c e6d e6e e7 e8
@@ -92,7 +92,7 @@ fn e2() {
     let mut t = Table::new(
         "E2  Sampling => Inference (Theorem 3.4)",
         "Marginals reconstructed from repeated LOCAL sampler executions \
-         (Monte Carlo substitution, DESIGN.md §6). Error bound: δ + ε₀ + \
+         (Monte Carlo substitution, see lds_core::sampling_to_inference). Error bound: δ + ε₀ + \
          sampling noise.",
         &[
             "graph",
@@ -393,8 +393,8 @@ fn e6b() {
 fn e6c() {
     let mut t = Table::new(
         "E6c  Colorings of triangle-free graphs (Corollary 5.3)",
-        "q = 2Δ ≥ α*·Δ colorings. Full JVV runs on cycles (enumeration \
-         oracle; see DESIGN.md §6); proper = output is a proper coloring.",
+        "q = 2Δ ≥ α*·Δ colorings. Full JVV runs on cycles (the Theorem \
+         5.1 enumeration oracle, exact but exponential in the ball size); proper = output is a proper coloring.",
         &["graph", "n", "q", "rate", "rounds", "proper", "success /5"],
     );
     for &n in &[5usize, 6, 8] {

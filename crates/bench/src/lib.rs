@@ -1,9 +1,9 @@
 //! Shared infrastructure for the `experiments` and `perf_telemetry`
 //! binaries: workload constructors and plain-text table rendering.
 //!
-//! The experiment index (E1–E8, S1–S2) is defined in DESIGN.md §5; the
-//! `experiments` binary regenerates every table, and EXPERIMENTS.md
-//! records paper-claim vs. measured outcome.
+//! The `experiments` binary regenerates every table of the experiment
+//! index (E1–E8, S1–S2); each table's caption states the paper claim it
+//! checks.
 
 #![forbid(unsafe_code)]
 

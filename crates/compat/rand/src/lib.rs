@@ -160,12 +160,7 @@ pub trait SeedableRng: Sized {
         let mut seed = Self::Seed::default();
         let mut sm = state;
         for chunk in seed.as_mut().chunks_mut(8) {
-            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = sm;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            for (b, s) in chunk.iter_mut().zip(z.to_le_bytes()) {
+            for (b, s) in chunk.iter_mut().zip(splitmix64_next(&mut sm).to_le_bytes()) {
                 *b = s;
             }
         }
@@ -173,9 +168,19 @@ pub trait SeedableRng: Sized {
     }
 }
 
+/// One SplitMix64 step: advances `state` and returns the next output
+/// word.
+fn splitmix64_next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// Concrete generators.
 pub mod rngs {
-    use super::{RngCore, SeedableRng};
+    use super::{splitmix64_next, RngCore, SeedableRng};
 
     /// The workspace's standard generator: xoshiro256++ (Blackman–Vigna).
     ///
@@ -205,16 +210,8 @@ pub mod rngs {
         }
     }
 
-    impl SeedableRng for StdRng {
-        type Seed = [u8; 32];
-
-        fn from_seed(seed: Self::Seed) -> Self {
-            let mut s = [0u64; 4];
-            for (i, word) in s.iter_mut().enumerate() {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-                *word = u64::from_le_bytes(bytes);
-            }
+    impl StdRng {
+        fn from_words(mut s: [u64; 4]) -> Self {
             // the all-zero state is a fixpoint of xoshiro; nudge it
             if s == [0, 0, 0, 0] {
                 s = [
@@ -225,6 +222,29 @@ pub mod rngs {
                 ];
             }
             StdRng { s }
+        }
+    }
+
+    impl SeedableRng for StdRng {
+        type Seed = [u8; 32];
+
+        fn from_seed(seed: Self::Seed) -> Self {
+            let mut s = [0u64; 4];
+            for (i, word) in s.iter_mut().enumerate() {
+                let mut bytes = [0u8; 8];
+                bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
+                *word = u64::from_le_bytes(bytes);
+            }
+            StdRng::from_words(s)
+        }
+
+        /// The same state as the trait's byte path (each SplitMix64 word
+        /// becomes one state word, little-endian bytes in and out), with
+        /// the 32-byte round trip skipped: every per-node generator is
+        /// built this way, once per node and pass.
+        fn seed_from_u64(state: u64) -> Self {
+            let mut sm = state;
+            StdRng::from_words(std::array::from_fn(|_| splitmix64_next(&mut sm)))
         }
     }
 }
@@ -270,6 +290,44 @@ mod tests {
     use super::rngs::StdRng;
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
+
+    /// The trait's generic byte-path `seed_from_u64`, which `StdRng`
+    /// overrides: SplitMix64 words written into a 32-byte seed, then
+    /// `from_seed`.
+    fn seed_from_u64_bytewise(state: u64) -> StdRng {
+        let mut seed = [0u8; 32];
+        let mut sm = state;
+        for chunk in seed.chunks_mut(8) {
+            sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = sm;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^= z >> 31;
+            chunk.copy_from_slice(&z.to_le_bytes());
+        }
+        StdRng::from_seed(seed)
+    }
+
+    #[test]
+    fn word_seeding_matches_the_byte_path() {
+        let mut probe = StdRng::seed_from_u64(0x5eed);
+        let edges = [0, 1, u64::MAX, u64::MAX - 1, 1 << 63];
+        let seeds = edges
+            .into_iter()
+            .chain((0..100_000).map(|_| probe.gen::<u64>()));
+        for seed in seeds {
+            let mut fast = StdRng::seed_from_u64(seed);
+            let mut slow = seed_from_u64_bytewise(seed);
+            assert_eq!(fast, slow, "state for seed {seed:#x}");
+            for i in 0..4 {
+                assert_eq!(
+                    fast.gen::<u64>(),
+                    slow.gen::<u64>(),
+                    "seed {seed:#x} draw {i}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn deterministic_and_seed_sensitive() {

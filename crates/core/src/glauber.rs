@@ -38,6 +38,20 @@
 //! the high-volume `SampleApprox` regime: those pay a radius-`t` ball
 //! enumeration per node, Glauber pays `sweeps` table lookups.
 //!
+//! The lookups run over a site plan compiled once per run: one flat copy
+//! of the factor tables and, per node, one slot per touching factor
+//! holding the table offset, the node's own stride, and another scope
+//! node with its stride (arity-3+ factors keep their remaining scope
+//! nodes in a side list). A site's weight for value `c` is then
+//! `Π tables[off + x_other · mult + c · stride]`, multiplied in the
+//! model's factor order, with no closure per lookup. Each site's coin
+//! comes from a generator seeded word by word from its SplitMix64 seed,
+//! the same state the byte-wise seeding builds. On `torus(8,8)` with 42
+//! sweeps, on a shared 2-vCPU host, the traced `glauber-torus` benchmark
+//! put the sweeps of one request at 0.34–0.36 ms before the plan and the
+//! word seeding and at 0.14–0.19 ms after (medians of two campaigns of
+//! alternated runs).
+//!
 //! The chain starts from the greedy feasible extension of the instance
 //! pinning (Remark 2.3's sequential local oblivious construction), run
 //! over the same schedule order so the start state is deterministic.
@@ -46,7 +60,7 @@
 
 use std::time::{Duration, Instant};
 
-use lds_gibbs::{distribution, Config, Value};
+use lds_gibbs::{distribution, Config, GibbsModel, Value};
 use lds_graph::NodeId;
 use lds_localnet::local::LocalRun;
 use lds_localnet::scheduler::{self, ChromaticSchedule};
@@ -60,6 +74,14 @@ use lds_runtime::{CancelToken, Cancelled, ThreadPool};
 /// keeping clear of the sampler/JVV tags (1–3) and the runtime's
 /// decomposition/node/workload tags.
 pub const STREAM_GLAUBER: u64 = 0x4_0000;
+
+/// The largest sweep budget whose streams stay distinct: sweep `s`
+/// draws from stream `STREAM_GLAUBER + s`, and [`Network::node_seed`]
+/// packs the stream into 20 bits below the node id, so a budget past
+/// `2^20 − STREAM_GLAUBER` (786 432) would hand node `2k`'s late sweeps
+/// the streams of node `2k + 1`. The certified `Auto` budget stays far
+/// below it (under `100 · ln(n/δ)` sweeps at any certified rate).
+pub const MAX_GLAUBER_SWEEPS: usize = (1 << 20) - STREAM_GLAUBER as usize;
 
 /// Nodes scanned between cancellation checks, so a deadline token
 /// (whose check reads the clock) costs `O(n / 256)` clock reads per pass.
@@ -127,6 +149,11 @@ pub fn sample_glauber_with(
 /// consume no randomness, so a completed run is bit-identical to the
 /// uncancellable one; a cancelled run returns `Err(`[`Cancelled`]`)`
 /// with no partial result.
+///
+/// # Panics
+///
+/// Panics if `sweeps > `[`MAX_GLAUBER_SWEEPS`]: later sweeps would
+/// reuse other nodes' randomness streams.
 pub fn sample_glauber_cancellable_with(
     net: &Network,
     sweeps: usize,
@@ -142,6 +169,10 @@ pub fn sample_glauber_cancellable_with(
     ),
     Cancelled,
 > {
+    assert!(
+        sweeps <= MAX_GLAUBER_SWEEPS,
+        "{sweeps} Glauber sweeps exceed the {MAX_GLAUBER_SWEEPS}-sweep stream budget"
+    );
     let locality = net.instance().model().locality().max(1);
     let start = Instant::now();
     cancel.check()?;
@@ -159,10 +190,12 @@ pub fn sample_glauber_cancellable_with(
         locality,
     };
     let start = Instant::now();
+    let plan = SitePlan::new(net.instance().model());
     let mut weights = vec![0.0f64; net.instance().model().alphabet_size()];
     for s in 0..sweeps {
         let (resampled, changed) = sweep(
             net,
+            &plan,
             &mut config,
             &schedule.order,
             stream_for_sweep(s),
@@ -248,23 +281,121 @@ fn greedy_ground(
     Ok((sigma.to_config(), failures))
 }
 
+/// One factor touching a site, compiled for the site update: the
+/// factor's table index is `off + x_other · mult + Σ x_s · m_s + c · stride`
+/// for site value `c`, the sum running over the slot's `extra` pairs.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// Offset of the factor's table in [`SitePlan::tables`].
+    off: usize,
+    /// The site's own stride in the table.
+    stride: usize,
+    /// Another scope node (the site itself for a unary factor).
+    other: usize,
+    /// The stride of `other` (0 for a unary factor).
+    mult: usize,
+    /// The remaining scope nodes of an arity-≥3 factor: a range of
+    /// `(node, stride)` pairs in [`SitePlan::extra`], empty otherwise.
+    extra: (usize, usize),
+}
+
+/// The model's factors compiled once per run for the sweep kernel: one
+/// flat copy of every factor table, and for each node one [`Slot`] per
+/// factor touching it, in [`GibbsModel::factors_touching`] order.
+struct SitePlan {
+    tables: Vec<f64>,
+    slots: Vec<Slot>,
+    /// Node `v`'s slots are `slots[starts[v]..starts[v + 1]]`.
+    starts: Vec<usize>,
+    extra: Vec<(usize, usize)>,
+}
+
+impl SitePlan {
+    fn new(model: &GibbsModel) -> SitePlan {
+        let q = model.alphabet_size();
+        let factors = model.factors();
+        let mut offsets = Vec::with_capacity(factors.len());
+        let mut tables = Vec::with_capacity(factors.iter().map(|f| f.table().len()).sum());
+        for f in factors {
+            offsets.push(tables.len());
+            tables.extend_from_slice(f.table());
+        }
+        let n = model.node_count();
+        let mut slots = Vec::with_capacity(factors.iter().map(|f| f.scope().len()).sum());
+        let mut starts = Vec::with_capacity(n + 1);
+        let mut extra = Vec::new();
+        starts.push(0);
+        for v in 0..n {
+            let v_id = NodeId::from_index(v);
+            for &fi in model.factors_touching(v_id) {
+                let scope = factors[fi].scope();
+                // the first scope node varies slowest (see `Factor`)
+                let stride_at = |p: usize| q.pow((scope.len() - 1 - p) as u32);
+                let first = extra.len();
+                let (mut stride, mut first_other) = (0, None);
+                for (p, &s) in scope.iter().enumerate() {
+                    if s == v_id {
+                        stride = stride_at(p);
+                    } else if first_other.is_none() {
+                        first_other = Some((s.index(), stride_at(p)));
+                    } else {
+                        extra.push((s.index(), stride_at(p)));
+                    }
+                }
+                let (other, mult) = first_other.unwrap_or((v, 0));
+                slots.push(Slot {
+                    off: offsets[fi],
+                    stride,
+                    other,
+                    mult,
+                    extra: (first, extra.len()),
+                });
+            }
+            starts.push(slots.len());
+        }
+        SitePlan {
+            tables,
+            slots,
+            starts,
+            extra,
+        }
+    }
+
+    /// Writes node `v`'s unnormalized conditional weights given `state`
+    /// into `weights`: per value, the product of the touching factors'
+    /// entries in slot order. Entries are finite and `≥ 0`, so a zero
+    /// factor keeps the product at `+0.0`.
+    fn site_weights(&self, v: usize, state: &[Value], weights: &mut [f64]) {
+        weights.fill(1.0);
+        for slot in &self.slots[self.starts[v]..self.starts[v + 1]] {
+            let mut base = slot.off + state[slot.other].index() * slot.mult;
+            for &(s, m) in &self.extra[slot.extra.0..slot.extra.1] {
+                base += state[s].index() * m;
+            }
+            for (c, w) in weights.iter_mut().enumerate() {
+                *w *= self.tables[base + c * slot.stride];
+            }
+        }
+    }
+}
+
 /// One systematic-scan Glauber sweep over `order`, in place: every free
 /// node replaces its value with a draw from the exact conditional
 /// distribution given its neighborhood (computed from the factors
-/// touching the node only), using the node's private randomness for
-/// `stream`. Returns the number of free sites resampled and how many of
-/// them changed value. A frozen site (no positive weight, which cannot
-/// happen from a feasible state) keeps its value and consumes no
-/// randomness.
+/// touching the node only, through `plan`), using the node's private
+/// randomness for `stream`. Returns the number of free sites resampled
+/// and how many of them changed value. A frozen site (no positive
+/// weight, which cannot happen from a feasible state) keeps its value
+/// and consumes no randomness.
 fn sweep(
     net: &Network,
+    plan: &SitePlan,
     config: &mut Config,
     order: &[NodeId],
     stream: u64,
     weights: &mut [f64],
     cancel: &CancelToken,
 ) -> Result<(usize, usize), Cancelled> {
-    let model = net.instance().model();
     let pinning = net.instance().pinning();
     let (mut resampled, mut changed) = (0usize, 0usize);
     for chunk in order.chunks(CANCEL_CHECK_STRIDE) {
@@ -274,24 +405,7 @@ fn sweep(
                 continue;
             }
             resampled += 1;
-            for (c, w) in weights.iter_mut().enumerate() {
-                let mut local = 1.0f64;
-                for &fi in model.factors_touching(v) {
-                    local *= model.factors()[fi]
-                        .eval_partial(|s| {
-                            Some(if s == v {
-                                Value::from_index(c)
-                            } else {
-                                config.get(s)
-                            })
-                        })
-                        .expect("full config");
-                    if local == 0.0 {
-                        break;
-                    }
-                }
-                *w = local;
-            }
+            plan.site_weights(v.index(), config.values(), weights);
             if weights.iter().sum::<f64>() <= 0.0 {
                 continue;
             }
@@ -316,8 +430,8 @@ fn stream_for_sweep(s: usize) -> u64 {
 mod tests {
     use super::*;
     use lds_gibbs::metrics;
-    use lds_gibbs::models::{coloring, hardcore};
-    use lds_gibbs::PartialConfig;
+    use lds_gibbs::models::{coloring, hardcore, ising};
+    use lds_gibbs::{Factor, PartialConfig};
     use lds_graph::generators;
     use lds_localnet::Instance;
 
@@ -414,6 +528,154 @@ mod tests {
                 &format!("pinned torus seed {seed}")
             ));
         }
+    }
+
+    /// One sweep as it ran before the site plan: every weight through
+    /// `Factor::eval_partial`, breaking out of a value's product at the
+    /// first zero. The planned [`sweep`] must match it bit for bit.
+    fn sweep_reference(
+        net: &Network,
+        config: &mut Config,
+        order: &[NodeId],
+        stream: u64,
+        weights: &mut [f64],
+    ) -> (usize, usize) {
+        let model = net.instance().model();
+        let pinning = net.instance().pinning();
+        let (mut resampled, mut changed) = (0usize, 0usize);
+        for &v in order {
+            if pinning.is_pinned(v) {
+                continue;
+            }
+            resampled += 1;
+            for (c, w) in weights.iter_mut().enumerate() {
+                let mut local = 1.0f64;
+                for &fi in model.factors_touching(v) {
+                    local *= model.factors()[fi]
+                        .eval_partial(|s| {
+                            Some(if s == v {
+                                Value::from_index(c)
+                            } else {
+                                config.get(s)
+                            })
+                        })
+                        .expect("full config");
+                    if local == 0.0 {
+                        break;
+                    }
+                }
+                *w = local;
+            }
+            if weights.iter().sum::<f64>() <= 0.0 {
+                continue;
+            }
+            let current = config.get(v);
+            let value = distribution::sample_from_marginal(weights, &mut net.node_rng(v, stream));
+            config.set(v, value);
+            changed += usize::from(value != current);
+        }
+        (resampled, changed)
+    }
+
+    /// Runs `sweeps` reference sweeps over the same schedule and ground
+    /// state as [`sample_glauber_with`] and checks the outputs and the
+    /// update counters against it.
+    fn assert_sweeps_match_reference(net: &Network, sweeps: usize, context: &str) {
+        let locality = net.instance().model().locality().max(1);
+        let schedule = scheduler::chromatic_schedule(net, locality, 0);
+        let (mut config, _) = greedy_ground(net, &schedule.order, &CancelToken::never()).unwrap();
+        let mut weights = vec![0.0; net.instance().model().alphabet_size()];
+        let (mut updates, mut last_changes) = (0u64, 0usize);
+        for s in 0..sweeps {
+            let (resampled, changed) = sweep_reference(
+                net,
+                &mut config,
+                &schedule.order,
+                stream_for_sweep(s),
+                &mut weights,
+            );
+            updates += resampled as u64;
+            last_changes = changed;
+        }
+        let (run, _, stats, _) = sample_glauber_with(net, sweeps, 0, &ThreadPool::sequential());
+        assert_eq!(run.outputs, config.values(), "{context}: outputs");
+        assert_eq!(stats.site_updates, updates, "{context}: site updates");
+        assert_eq!(
+            stats.last_sweep_changes, last_changes,
+            "{context}: last sweep changes"
+        );
+    }
+
+    #[test]
+    fn planned_sweeps_match_the_factor_eval_reference() {
+        let torus = generators::torus(5, 5);
+        let mut tau = PartialConfig::empty(25);
+        tau.pin(NodeId(0), Value(1));
+        tau.pin(NodeId(12), Value(1));
+        tau.pin(NodeId(13), Value(0));
+        let pinned = Instance::new(hardcore::model(&torus, 1.3), tau).unwrap();
+        let ising = Instance::unconditioned(ising::model(
+            &generators::torus(4, 4),
+            ising::IsingParams::new(0.3, -0.2),
+        ));
+        let cycle = generators::cycle(7);
+        let lists: Vec<Vec<usize>> = (0..7)
+            .map(|v| (0..4).filter(|&c| c != v % 4).collect())
+            .collect();
+        let list_coloring = Instance::unconditioned(coloring::list_model(&cycle, 4, &lists));
+        let cases = [
+            ("pinned hardcore torus", pinned),
+            ("soft ising", ising),
+            ("list 4-coloring", list_coloring),
+            ("3-ary factor", Instance::unconditioned(ternary_model())),
+        ];
+        for (name, inst) in cases {
+            for seed in 0..25 {
+                let net = Network::new(inst.clone(), seed);
+                assert_sweeps_match_reference(&net, 9, &format!("{name} seed {seed}"));
+            }
+        }
+    }
+
+    /// A 3-spin model on `path(6)` with soft asymmetric edge factors, a
+    /// unary factor with a zero, and one 3-ary factor whose scope is out
+    /// of id order (so every scope position has its own stride) and
+    /// whose table holds zeros.
+    fn ternary_model() -> GibbsModel {
+        let g = generators::path(6);
+        let mut factors: Vec<Factor> = g
+            .edges()
+            .iter()
+            .map(|e| {
+                let table = (0..9).map(|i| 0.5 + 0.25 * i as f64).collect();
+                Factor::binary(e.u, e.v, 3, table)
+            })
+            .collect();
+        factors.push(Factor::unary(NodeId(4), vec![1.0, 0.0, 2.5]));
+        let table = (0..27)
+            .map(|i| {
+                if i % 7 == 3 {
+                    0.0
+                } else {
+                    1.0 + (i % 5) as f64
+                }
+            })
+            .collect();
+        factors.push(Factor::new(vec![NodeId(3), NodeId(1), NodeId(2)], 3, table));
+        GibbsModel::new(g, 3, factors, "ternary")
+    }
+
+    #[test]
+    #[should_panic(expected = "stream budget")]
+    fn sweep_budgets_past_the_stream_width_panic() {
+        let net = hc_net(4, 1.0, 0);
+        let _ = sample_glauber_with(&net, MAX_GLAUBER_SWEEPS + 1, 0, &ThreadPool::sequential());
+    }
+
+    #[test]
+    fn the_last_allowed_sweep_keeps_its_stream_below_the_tag_width() {
+        assert!(stream_for_sweep(MAX_GLAUBER_SWEEPS - 1) < 1 << 20);
+        assert_eq!(stream_for_sweep(MAX_GLAUBER_SWEEPS), 1 << 20);
     }
 
     #[test]

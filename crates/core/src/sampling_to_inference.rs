@@ -7,7 +7,7 @@
 //! output distribution solves inference with error `δ + ε₀` in the same
 //! round complexity.
 //!
-//! **Substitution (documented in DESIGN.md §6):** the paper reconstructs
+//! **Substitution:** the paper reconstructs
 //! `μ̃_v` *exactly* at `v` by enumerating the random bits the sampler
 //! consumes inside `v`'s view. Enumerating bit strings is infeasible
 //! verbatim, so we estimate `μ̃_v` by Monte Carlo over independent

@@ -32,9 +32,10 @@ pub enum SweepBudget {
     /// [`lds_core::regime::glauber_plan`] — enough for `d_TV ≤ δ` under
     /// one-step contraction.
     Auto,
-    /// Exactly this many sweeps (must be `≥ 1`; the builder's
-    /// [`crate::EngineBuilder::backend`] setter rejects `Fixed(0)` at
-    /// set time). The mixing certificate is still required — a fixed
+    /// Exactly this many sweeps (must be `≥ 1` and at most
+    /// [`lds_core::glauber::MAX_GLAUBER_SWEEPS`]; the builder's
+    /// [`crate::EngineBuilder::backend`] setter rejects other budgets
+    /// at set time). The mixing certificate is still required — a fixed
     /// budget overrides *how long* the chain runs, not *whether* it is
     /// trusted.
     Fixed(u32),

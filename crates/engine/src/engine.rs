@@ -233,8 +233,9 @@ impl EngineBuilder {
     /// (default [`Backend::Exact`], the oracle-driven chain-rule path —
     /// exactly the pre-backend behavior).
     ///
-    /// Validated **at set time** like `ε`/`δ`/`threads`: a zero fixed
-    /// sweep budget makes [`EngineBuilder::build`] fail with
+    /// Validated **at set time** like `ε`/`δ`/`threads`: a fixed sweep
+    /// budget of zero or above [`glauber::MAX_GLAUBER_SWEEPS`] makes
+    /// [`EngineBuilder::build`] fail with
     /// [`EngineError::InvalidParameter`] naming `backend` (first
     /// invalid setter wins). Whether a Glauber request has a mixing
     /// certificate is checked at build time and surfaced as
@@ -242,13 +243,23 @@ impl EngineBuilder {
     /// actually requested — the engine still serves every other task.
     pub fn backend(mut self, backend: Backend) -> Self {
         if let Backend::Glauber {
-            sweeps: SweepBudget::Fixed(0),
+            sweeps: SweepBudget::Fixed(k),
         } = backend
         {
-            self.reject(
-                "backend",
-                "a fixed Glauber sweep budget needs at least one sweep".into(),
-            );
+            if k == 0 {
+                self.reject(
+                    "backend",
+                    "a fixed Glauber sweep budget needs at least one sweep".into(),
+                );
+            } else if k as usize > glauber::MAX_GLAUBER_SWEEPS {
+                self.reject(
+                    "backend",
+                    format!(
+                        "a fixed Glauber sweep budget of {k} exceeds the {}-sweep stream budget",
+                        glauber::MAX_GLAUBER_SWEEPS
+                    ),
+                );
+            }
         }
         self.backend = Some(backend);
         self

@@ -111,25 +111,6 @@ impl NetworkDecomposition {
         }
         worst
     }
-
-    /// Maximum weak radius per color (in `base`), indexed by color.
-    pub fn weak_radius_by_color(&self, base: &Graph) -> Vec<usize> {
-        let mut by_color = vec![0usize; self.colors];
-        for (cid, members) in self.members().iter().enumerate() {
-            if members.is_empty() {
-                continue;
-            }
-            let color = members
-                .first()
-                .map(|v| self.color[v.index()] as usize)
-                .expect("nonempty");
-            let d = traversal::bfs_distances(base, self.centers[cid]);
-            for &v in members {
-                by_color[color] = by_color[color].max(d[v.index()] as usize);
-            }
-        }
-        by_color
-    }
 }
 
 /// Truncated geometric radius: `Pr[r = j] = 2^{-(j+1)}` for `j < cap`,
@@ -159,72 +140,81 @@ pub fn linial_saks<R: Rng + ?Sized>(
     let mut remaining: Vec<bool> = vec![true; n];
     let mut remaining_count = n;
     let mut phase = 0usize;
+    // Buffers reused across phases and center BFSs. `dist` is all
+    // `u32::MAX` between BFSs: each BFS pushes every node it labels onto
+    // `queue` exactly once, so the queue doubles as the list of labels
+    // to reset. `cluster_of_center` is all `UNCLUSTERED` between phases,
+    // reset through `new_centers`.
+    let mut radii = vec![0usize; n];
+    let mut best: Vec<(u32, u32)> = vec![(0, 0); n];
+    let mut dist = vec![u32::MAX; n];
+    let mut queue: Vec<NodeId> = Vec::new();
+    let mut cluster_of_center = vec![UNCLUSTERED; n];
+    let mut new_centers: Vec<usize> = Vec::new();
 
     while remaining_count > 0 && phase < params.color_cap {
         // 1. draw radii for remaining nodes
-        let radii: Vec<usize> = (0..n)
-            .map(|v| {
-                if remaining[v] {
-                    truncated_geometric(params.radius_cap, rng)
-                } else {
-                    0
-                }
-            })
-            .collect();
+        for (r, &rem) in radii.iter_mut().zip(&remaining) {
+            *r = if rem {
+                truncated_geometric(params.radius_cap, rng)
+            } else {
+                0
+            };
+        }
 
         // 2. each remaining u finds the max-id center y with
         //    dist_rem(u, y) <= r_y; BFS from every candidate center.
-        //    best[u] = (y_id, dist) with max y_id preferred.
-        let mut best: Vec<Option<(u32, u32)>> = vec![None; n];
+        //    Centers run in increasing id order, so the last one to
+        //    reach u has the maximum id: best[u] = (y, dist) of it.
+        //    Every remaining u is reached (by its own BFS at least), so
+        //    the phase overwrites all entries it reads.
         for y in 0..n {
             if !remaining[y] {
                 continue;
             }
             let ry = radii[y];
             // truncated BFS within remaining nodes
-            let mut dist = vec![u32::MAX; n];
-            let mut queue = std::collections::VecDeque::new();
             dist[y] = 0;
-            queue.push_back(NodeId::from_index(y));
-            while let Some(u) = queue.pop_front() {
+            queue.push(NodeId::from_index(y));
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
                 let du = dist[u.index()];
-                let better = match best[u.index()] {
-                    None => true,
-                    Some((by, _)) => (y as u32) > by,
-                };
-                if better {
-                    best[u.index()] = Some((y as u32, du));
-                }
+                best[u.index()] = (y as u32, du);
                 if (du as usize) < ry {
                     for &w in g.neighbors(u) {
                         if remaining[w.index()] && dist[w.index()] == u32::MAX {
                             dist[w.index()] = du + 1;
-                            queue.push_back(w);
+                            queue.push(w);
                         }
                     }
                 }
             }
+            for u in queue.drain(..) {
+                dist[u.index()] = u32::MAX;
+            }
         }
 
         // 3. finalize nodes strictly inside their center's radius
-        let mut new_cluster_of_center: std::collections::HashMap<u32, u32> =
-            std::collections::HashMap::new();
         for u in 0..n {
             if !remaining[u] {
                 continue;
             }
-            if let Some((y, d)) = best[u] {
-                if (d as usize) < radii[y as usize] {
-                    let cid = *new_cluster_of_center.entry(y).or_insert_with(|| {
-                        centers.push(NodeId(y));
-                        (centers.len() - 1) as u32
-                    });
-                    cluster[u] = cid;
-                    color[u] = phase as u32;
-                    remaining[u] = false;
-                    remaining_count -= 1;
+            let (y, d) = (best[u].0 as usize, best[u].1);
+            if (d as usize) < radii[y] {
+                if cluster_of_center[y] == UNCLUSTERED {
+                    cluster_of_center[y] = centers.len() as u32;
+                    centers.push(NodeId::from_index(y));
+                    new_centers.push(y);
                 }
+                cluster[u] = cluster_of_center[y];
+                color[u] = phase as u32;
+                remaining[u] = false;
+                remaining_count -= 1;
             }
+        }
+        for y in new_centers.drain(..) {
+            cluster_of_center[y] = UNCLUSTERED;
         }
         phase += 1;
     }
@@ -249,6 +239,141 @@ mod tests {
     fn decompose(g: &Graph, seed: u64) -> NetworkDecomposition {
         let mut rng = StdRng::seed_from_u64(seed);
         linial_saks(g, DecompositionParams::for_size(g.node_count()), &mut rng)
+    }
+
+    /// Linial–Saks as it ran before the shared buffers: a fresh `dist`
+    /// array and queue per center BFS, and a per-phase map of new
+    /// cluster ids. [`linial_saks`] must match it bit for bit.
+    fn linial_saks_reference<R: Rng + ?Sized>(
+        g: &Graph,
+        params: DecompositionParams,
+        rng: &mut R,
+    ) -> NetworkDecomposition {
+        let n = g.node_count();
+        let mut cluster = vec![UNCLUSTERED; n];
+        let mut color = vec![UNCLUSTERED; n];
+        let mut centers: Vec<NodeId> = Vec::new();
+        let mut remaining: Vec<bool> = vec![true; n];
+        let mut remaining_count = n;
+        let mut phase = 0usize;
+        while remaining_count > 0 && phase < params.color_cap {
+            let radii: Vec<usize> = (0..n)
+                .map(|v| {
+                    if remaining[v] {
+                        truncated_geometric(params.radius_cap, rng)
+                    } else {
+                        0
+                    }
+                })
+                .collect();
+            let mut best: Vec<Option<(u32, u32)>> = vec![None; n];
+            for y in 0..n {
+                if !remaining[y] {
+                    continue;
+                }
+                let ry = radii[y];
+                let mut dist = vec![u32::MAX; n];
+                let mut queue = std::collections::VecDeque::new();
+                dist[y] = 0;
+                queue.push_back(NodeId::from_index(y));
+                while let Some(u) = queue.pop_front() {
+                    let du = dist[u.index()];
+                    let better = match best[u.index()] {
+                        None => true,
+                        Some((by, _)) => (y as u32) > by,
+                    };
+                    if better {
+                        best[u.index()] = Some((y as u32, du));
+                    }
+                    if (du as usize) < ry {
+                        for &w in g.neighbors(u) {
+                            if remaining[w.index()] && dist[w.index()] == u32::MAX {
+                                dist[w.index()] = du + 1;
+                                queue.push_back(w);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut new_cluster_of_center: std::collections::HashMap<u32, u32> =
+                std::collections::HashMap::new();
+            for u in 0..n {
+                if !remaining[u] {
+                    continue;
+                }
+                if let Some((y, d)) = best[u] {
+                    if (d as usize) < radii[y as usize] {
+                        let cid = *new_cluster_of_center.entry(y).or_insert_with(|| {
+                            centers.push(NodeId(y));
+                            (centers.len() - 1) as u32
+                        });
+                        cluster[u] = cid;
+                        color[u] = phase as u32;
+                        remaining[u] = false;
+                        remaining_count -= 1;
+                    }
+                }
+            }
+            phase += 1;
+        }
+        NetworkDecomposition {
+            cluster,
+            color,
+            colors: phase,
+            centers,
+            failed: remaining,
+        }
+    }
+
+    fn assert_matches_reference(g: &Graph, params: DecompositionParams, seed: u64, context: &str) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut ref_rng = StdRng::seed_from_u64(seed);
+        let d = linial_saks(g, params, &mut rng);
+        let r = linial_saks_reference(g, params, &mut ref_rng);
+        assert_eq!(d.cluster, r.cluster, "{context}: cluster");
+        assert_eq!(d.color, r.color, "{context}: color");
+        assert_eq!(d.colors, r.colors, "{context}: colors");
+        assert_eq!(d.centers, r.centers, "{context}: centers");
+        assert_eq!(d.failed, r.failed, "{context}: failed");
+        assert_eq!(
+            rng.gen::<u64>(),
+            ref_rng.gen::<u64>(),
+            "{context}: next draw"
+        );
+    }
+
+    #[test]
+    fn buffered_decomposition_matches_the_reference() {
+        use lds_graph::power;
+        let mut graphs = Vec::new();
+        for g in [
+            generators::cycle(10),
+            generators::torus(4, 4),
+            generators::torus(8, 8),
+        ] {
+            graphs.push(power::power(&g, 2));
+            graphs.push(g);
+        }
+        graphs.push(generators::random_regular(
+            40,
+            4,
+            &mut StdRng::seed_from_u64(9),
+        ));
+        graphs.push(Graph::from_edges(1, []));
+        for (gi, g) in graphs.iter().enumerate() {
+            let params = DecompositionParams::for_size(g.node_count());
+            for seed in 0..40 {
+                assert_matches_reference(g, params, seed, &format!("graph {gi} seed {seed}"));
+            }
+            // a tight color cap leaves failures, and zero fails everyone
+            for color_cap in [0, 1] {
+                let tight = DecompositionParams {
+                    color_cap,
+                    radius_cap: 2,
+                };
+                assert_matches_reference(g, tight, 7, &format!("graph {gi} cap {color_cap}"));
+            }
+        }
     }
 
     #[test]

@@ -233,12 +233,21 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
             .unwrap_or(UNCLUSTERED);
         (color, cid)
     });
+    // The same pass measures each cluster's weak radius in `G` (the
+    // largest `dist_G(center, member)`) and keeps the largest per color,
+    // which is what the round cost below charges.
     let mut color_clusters: Vec<Vec<Vec<NodeId>>> = vec![Vec::new(); decomposition.colors];
+    let mut radius_by_color = vec![0usize; decomposition.colors];
     let mut order: Vec<NodeId> = Vec::with_capacity(n);
+    let mut bfs = ClusterBfs::new(n);
     for &cid in &cluster_ids {
         let mut m = std::mem::take(&mut members[cid]);
         m.sort_unstable();
         let color = decomposition.color[m[0].index()] as usize;
+        let radius = bfs.weak_radius(g, decomposition.centers[cid], m.len(), |v| {
+            decomposition.cluster[v.index()] == cid as u32
+        });
+        radius_by_color[color] = radius_by_color[color].max(radius);
         order.extend_from_slice(&m);
         color_clusters[color].push(m);
     }
@@ -250,10 +259,7 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
     order.extend_from_slice(&tail);
     debug_assert_eq!(order.len(), n);
 
-    // Round cost: per color, gather cluster + halo and disseminate. The
-    // largest weak radius over all clusters is the largest per-color
-    // one, so one BFS per cluster serves both.
-    let radius_by_color = decomposition.weak_radius_by_color(g);
+    // Round cost: per color, gather cluster + halo and disseminate.
     let rounds: usize = radius_by_color
         .iter()
         .map(|&wr| 2 * wr + locality + 1)
@@ -270,6 +276,62 @@ pub fn chromatic_schedule(net: &Network, locality: usize, stream: u64) -> Chroma
         locality,
         decomposition,
         halos: OnceLock::new(),
+    }
+}
+
+/// A BFS on `G` whose buffers are reused across clusters: `dist` is all
+/// `u32::MAX` between searches, reset through the queue (which holds
+/// every node a search labelled).
+struct ClusterBfs {
+    dist: Vec<u32>,
+    queue: Vec<NodeId>,
+}
+
+impl ClusterBfs {
+    fn new(n: usize) -> Self {
+        ClusterBfs {
+            dist: vec![u32::MAX; n],
+            queue: Vec::new(),
+        }
+    }
+
+    /// The largest `dist_g(center, v)` over the `members` nodes for
+    /// which `is_member` holds. The search stops at the last member
+    /// reached: BFS reaches nodes in nondecreasing distance, so that
+    /// member's distance is the answer.
+    fn weak_radius(
+        &mut self,
+        g: &Graph,
+        center: NodeId,
+        members: usize,
+        is_member: impl Fn(NodeId) -> bool,
+    ) -> usize {
+        let (mut radius, mut found) = (0u32, 0usize);
+        self.dist[center.index()] = 0;
+        self.queue.push(center);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let du = self.dist[u.index()];
+            if is_member(u) {
+                radius = du;
+                found += 1;
+                if found == members {
+                    break;
+                }
+            }
+            for &w in g.neighbors(u) {
+                if self.dist[w.index()] == u32::MAX {
+                    self.dist[w.index()] = du + 1;
+                    self.queue.push(w);
+                }
+            }
+        }
+        debug_assert_eq!(found, members, "a cluster member is unreachable");
+        for u in self.queue.drain(..) {
+            self.dist[u.index()] = u32::MAX;
+        }
+        radius as usize
     }
 }
 
@@ -641,6 +703,51 @@ mod tests {
                     s.decomposition.max_weak_radius(g),
                     "seed {seed} r {r}"
                 );
+            }
+        }
+    }
+
+    /// The round charge as it was computed before the early-stopping
+    /// BFS: one full `bfs_distances` per cluster, the largest member
+    /// distance kept per color.
+    fn rounds_reference(s: &ChromaticSchedule, g: &Graph) -> (usize, usize) {
+        let d = &s.decomposition;
+        let mut by_color = vec![0usize; d.colors];
+        for (cid, members) in d.members().iter().enumerate() {
+            let Some(first) = members.first() else {
+                continue;
+            };
+            let color = d.color[first.index()] as usize;
+            let dist = traversal::bfs_distances(g, d.centers[cid]);
+            for &v in members {
+                by_color[color] = by_color[color].max(dist[v.index()] as usize);
+            }
+        }
+        let rounds = by_color.iter().map(|&wr| 2 * wr + s.locality + 1).sum();
+        (rounds, by_color.iter().copied().max().unwrap_or(0))
+    }
+
+    #[test]
+    fn round_charge_matches_the_full_bfs_reference() {
+        let graphs = [
+            generators::torus(4, 4),
+            generators::torus(8, 8),
+            generators::cycle(10),
+            generators::random_regular(40, 4, &mut StdRng::seed_from_u64(5)),
+        ];
+        for (gi, g) in graphs.iter().enumerate() {
+            let inst = Instance::unconditioned(hardcore::model(g, 1.0));
+            for seed in 0..12 {
+                let net = Network::new(inst.clone(), seed);
+                for r in [1, 2, 3] {
+                    let s = chromatic_schedule(&net, r, seed);
+                    let (rounds, max_radius) = rounds_reference(&s, g);
+                    assert_eq!(s.rounds, rounds, "graph {gi} seed {seed} r {r}");
+                    assert_eq!(
+                        s.max_weak_radius, max_radius,
+                        "graph {gi} seed {seed} r {r}"
+                    );
+                }
             }
         }
     }

@@ -81,8 +81,9 @@
 //! ```
 //!
 //! See `examples/` for runnable walkthroughs of every model and task
-//! kind, DESIGN.md for the system inventory, and EXPERIMENTS.md for the
-//! per-claim reproduction record.
+//! kind, the README's "Workspace layout" section for the crate
+//! inventory, and the `experiments` binary of `lds-bench` for the
+//! per-claim reproduction tables.
 
 #![forbid(unsafe_code)]
 

@@ -53,6 +53,30 @@ fn backend_setter_validates_at_set_time() {
 }
 
 #[test]
+fn fixed_budgets_past_the_stream_width_are_rejected_at_set_time() {
+    // sweep s draws stream STREAM_GLAUBER + s, which must stay below the
+    // 2^20 stream-tag width; the engine is built, never run
+    let glauber = |k| Backend::Glauber {
+        sweeps: SweepBudget::Fixed(k),
+    };
+    let err = builder_on_cycle(8)
+        .backend(glauber(786_433))
+        .build()
+        .unwrap_err();
+    match err {
+        EngineError::InvalidParameter { name, message } => {
+            assert_eq!(name, "backend");
+            assert!(message.contains("786432-sweep"), "{message}");
+        }
+        other => panic!("expected InvalidParameter, got {other:?}"),
+    }
+    builder_on_cycle(8)
+        .backend(glauber(786_432))
+        .build()
+        .expect("the largest distinct-stream budget builds");
+}
+
+#[test]
 fn first_invalid_setter_wins_over_a_later_backend_error() {
     // epsilon fails first; the backend error must not displace it
     let err = builder_on_cycle(8)
