@@ -148,39 +148,14 @@ impl<R: RngCore + ?Sized> Rng for R {}
 
 /// Reproducible construction of generators from seeds.
 pub trait SeedableRng: Sized {
-    /// The full-entropy seed type.
-    type Seed: Default + AsMut<[u8]>;
-
-    /// Builds the generator from a full seed.
-    fn from_seed(seed: Self::Seed) -> Self;
-
     /// Builds the generator from a 64-bit seed, expanded with SplitMix64
     /// so that nearby seeds give uncorrelated streams.
-    fn seed_from_u64(state: u64) -> Self {
-        let mut seed = Self::Seed::default();
-        let mut sm = state;
-        for chunk in seed.as_mut().chunks_mut(8) {
-            for (b, s) in chunk.iter_mut().zip(splitmix64_next(&mut sm).to_le_bytes()) {
-                *b = s;
-            }
-        }
-        Self::from_seed(seed)
-    }
-}
-
-/// One SplitMix64 step: advances `state` and returns the next output
-/// word.
-fn splitmix64_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    fn seed_from_u64(state: u64) -> Self;
 }
 
 /// Concrete generators.
 pub mod rngs {
-    use super::{splitmix64_next, RngCore, SeedableRng};
+    use super::{RngCore, SeedableRng};
 
     /// The workspace's standard generator: xoshiro256++ (Blackman–Vigna).
     ///
@@ -211,7 +186,8 @@ pub mod rngs {
     }
 
     impl StdRng {
-        fn from_words(mut s: [u64; 4]) -> Self {
+        /// The generator with state `s`, nudged off the all-zero state.
+        pub(crate) fn from_words(mut s: [u64; 4]) -> Self {
             // the all-zero state is a fixpoint of xoshiro; nudge it
             if s == [0, 0, 0, 0] {
                 s = [
@@ -226,25 +202,16 @@ pub mod rngs {
     }
 
     impl SeedableRng for StdRng {
-        type Seed = [u8; 32];
-
-        fn from_seed(seed: Self::Seed) -> Self {
-            let mut s = [0u64; 4];
-            for (i, word) in s.iter_mut().enumerate() {
-                let mut bytes = [0u8; 8];
-                bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
-                *word = u64::from_le_bytes(bytes);
-            }
-            StdRng::from_words(s)
-        }
-
-        /// The same state as the trait's byte path (each SplitMix64 word
-        /// becomes one state word, little-endian bytes in and out), with
-        /// the 32-byte round trip skipped: every per-node generator is
-        /// built this way, once per node and pass.
+        /// Four SplitMix64 outputs, one per state word.
         fn seed_from_u64(state: u64) -> Self {
             let mut sm = state;
-            StdRng::from_words(std::array::from_fn(|_| splitmix64_next(&mut sm)))
+            StdRng::from_words(std::array::from_fn(|_| {
+                sm = sm.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = sm;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            }))
         }
     }
 }
@@ -291,9 +258,9 @@ mod tests {
     use super::seq::SliceRandom;
     use super::{Rng, SeedableRng};
 
-    /// The trait's generic byte-path `seed_from_u64`, which `StdRng`
-    /// overrides: SplitMix64 words written into a 32-byte seed, then
-    /// `from_seed`.
+    /// The byte-path seeding `StdRng` used before it wrote words
+    /// directly: SplitMix64 words written into a 32-byte seed, then
+    /// unpacked little-endian into the four state words.
     fn seed_from_u64_bytewise(state: u64) -> StdRng {
         let mut seed = [0u8; 32];
         let mut sm = state;
@@ -305,7 +272,11 @@ mod tests {
             z ^= z >> 31;
             chunk.copy_from_slice(&z.to_le_bytes());
         }
-        StdRng::from_seed(seed)
+        StdRng::from_words(std::array::from_fn(|i| {
+            let mut bytes = [0u8; 8];
+            bytes.copy_from_slice(&seed[i * 8..(i + 1) * 8]);
+            u64::from_le_bytes(bytes)
+        }))
     }
 
     #[test]

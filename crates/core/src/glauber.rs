@@ -40,11 +40,10 @@
 //!
 //! The lookups run over a site plan compiled once per run: one flat copy
 //! of the factor tables and, per node, one slot per touching factor
-//! holding the table offset, the node's own stride, and another scope
-//! node with its stride (arity-3+ factors keep their remaining scope
-//! nodes in a side list). A site's weight for value `c` is then
-//! `Π tables[off + x_other · mult + c · stride]`, multiplied in the
-//! model's factor order, with no closure per lookup. Each site's coin
+//! holding the table offset, the node's own stride, and a range of
+//! `(node, stride)` pairs for the factor's other scope nodes. A site's
+//! weight for value `c` is then `Π tables[off + Σ x_s · m_s + c · stride]`,
+//! multiplied in the model's factor order, with no closure per lookup. Each site's coin
 //! comes from a generator seeded word by word from its SplitMix64 seed,
 //! the same state the byte-wise seeding builds. On `torus(8,8)` with 42
 //! sweeps, on a shared 2-vCPU host, the traced `glauber-torus` benchmark
@@ -282,21 +281,17 @@ fn greedy_ground(
 }
 
 /// One factor touching a site, compiled for the site update: the
-/// factor's table index is `off + x_other · mult + Σ x_s · m_s + c · stride`
-/// for site value `c`, the sum running over the slot's `extra` pairs.
+/// factor's table index is `off + Σ x_s · m_s + c · stride` for site
+/// value `c`, the sum running over the slot's `others` pairs.
 #[derive(Clone, Copy, Debug)]
 struct Slot {
     /// Offset of the factor's table in [`SitePlan::tables`].
     off: usize,
     /// The site's own stride in the table.
     stride: usize,
-    /// Another scope node (the site itself for a unary factor).
-    other: usize,
-    /// The stride of `other` (0 for a unary factor).
-    mult: usize,
-    /// The remaining scope nodes of an arity-≥3 factor: a range of
-    /// `(node, stride)` pairs in [`SitePlan::extra`], empty otherwise.
-    extra: (usize, usize),
+    /// The factor's other scope nodes: a range of `(node, stride)`
+    /// pairs in [`SitePlan::others`], empty for a unary factor.
+    others: (usize, usize),
 }
 
 /// The model's factors compiled once per run for the sweep kernel: one
@@ -307,7 +302,7 @@ struct SitePlan {
     slots: Vec<Slot>,
     /// Node `v`'s slots are `slots[starts[v]..starts[v + 1]]`.
     starts: Vec<usize>,
-    extra: Vec<(usize, usize)>,
+    others: Vec<(usize, usize)>,
 }
 
 impl SitePlan {
@@ -323,7 +318,7 @@ impl SitePlan {
         let n = model.node_count();
         let mut slots = Vec::with_capacity(factors.iter().map(|f| f.scope().len()).sum());
         let mut starts = Vec::with_capacity(n + 1);
-        let mut extra = Vec::new();
+        let mut others = Vec::new();
         starts.push(0);
         for v in 0..n {
             let v_id = NodeId::from_index(v);
@@ -331,24 +326,19 @@ impl SitePlan {
                 let scope = factors[fi].scope();
                 // the first scope node varies slowest (see `Factor`)
                 let stride_at = |p: usize| q.pow((scope.len() - 1 - p) as u32);
-                let first = extra.len();
-                let (mut stride, mut first_other) = (0, None);
+                let first = others.len();
+                let mut stride = 0;
                 for (p, &s) in scope.iter().enumerate() {
                     if s == v_id {
                         stride = stride_at(p);
-                    } else if first_other.is_none() {
-                        first_other = Some((s.index(), stride_at(p)));
                     } else {
-                        extra.push((s.index(), stride_at(p)));
+                        others.push((s.index(), stride_at(p)));
                     }
                 }
-                let (other, mult) = first_other.unwrap_or((v, 0));
                 slots.push(Slot {
                     off: offsets[fi],
                     stride,
-                    other,
-                    mult,
-                    extra: (first, extra.len()),
+                    others: (first, others.len()),
                 });
             }
             starts.push(slots.len());
@@ -357,7 +347,7 @@ impl SitePlan {
             tables,
             slots,
             starts,
-            extra,
+            others,
         }
     }
 
@@ -368,8 +358,8 @@ impl SitePlan {
     fn site_weights(&self, v: usize, state: &[Value], weights: &mut [f64]) {
         weights.fill(1.0);
         for slot in &self.slots[self.starts[v]..self.starts[v + 1]] {
-            let mut base = slot.off + state[slot.other].index() * slot.mult;
-            for &(s, m) in &self.extra[slot.extra.0..slot.extra.1] {
+            let mut base = slot.off;
+            for &(s, m) in &self.others[slot.others.0..slot.others.1] {
                 base += state[s].index() * m;
             }
             for (c, w) in weights.iter_mut().enumerate() {
